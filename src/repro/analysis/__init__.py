@@ -20,7 +20,6 @@ from repro.analysis.experiments import (
     delta_n_ablation,
     epoch_resync_ablation,
     PARSEC_PAPER_VALUES,
-    RUNNERS,
 )
 from repro.analysis.scale import (
     build_scale_spec,
@@ -44,7 +43,6 @@ __all__ = [
     "delta_n_ablation",
     "epoch_resync_ablation",
     "PARSEC_PAPER_VALUES",
-    "RUNNERS",
     "build_scale_spec",
     "run_scale_cell",
     "scale_sweep",

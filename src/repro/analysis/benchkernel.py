@@ -1,7 +1,7 @@
-"""Kernel throughput benchmark: the consolidated fleet cell as a
-tracked trajectory entry.
+"""Kernel throughput benchmark: the consolidated fleet cell behind the
+``kernel.scale<N>`` benchmark.
 
-``run_kernel_bench`` runs the 32-tenant scale cell (the hot-loop
+``run_kernel_bench`` runs the N-tenant scale cell (the hot-loop
 workload: ~100k events per simulated second of VM quanta, replica
 multicast, pacing and egress mediation) several times in one process
 and reports
@@ -25,26 +25,12 @@ profiler-neutrality invariant -- and its
 :class:`~repro.prof.profiler.SubsystemProfiler` summary rides in the
 report's ``"profile"`` key.
 
-Artifacts go through :mod:`repro.bench`: :func:`write_bench` appends a
-schema-versioned entry to the ``BENCH_kernel.json`` trajectory
-(migrating the legacy single-snapshot file on first touch), and
-:func:`check_regression` fails when events/CPU-s drops more than
-:data:`REGRESSION_TOLERANCE` below the best comparable entry or the
-egress signature changes -- that is the ``kernel-bench`` CI gate.
+:func:`kernel_metrics` picks the report keys a trajectory entry
+records; :mod:`repro.bench.registry` does the rest.
 """
 
 import time
-from typing import Dict, List, Optional
-
-from repro.bench.schema import (DEFAULT_TOLERANCE, compare_entry,
-                                load_trajectory, make_entry)
-
-#: fail the regression gate when events/CPU-second drops below
-#: (1 - tolerance) x the best comparable trajectory entry
-REGRESSION_TOLERANCE = DEFAULT_TOLERANCE
-
-#: default artifact path (repo root, committed)
-BENCH_PATH = "BENCH_kernel.json"
+from typing import Dict, List
 
 #: the result keys that become trajectory-entry metrics
 _METRIC_KEYS = ("events_per_cpu_second", "events_per_second",
@@ -53,7 +39,7 @@ _METRIC_KEYS = ("events_per_cpu_second", "events_per_second",
 
 
 class BenchError(RuntimeError):
-    """Determinism or regression failure in the kernel benchmark."""
+    """Determinism failure in the kernel benchmark."""
 
 
 def run_kernel_bench(tenants: int = 32,
@@ -103,9 +89,7 @@ def run_kernel_bench(tenants: int = 32,
     best = max(runs, key=lambda run: run["events_per_cpu_second"])
     report: Dict[str, object] = {
         "benchmark": f"kernel.scale{tenants}",
-        # repeats is a measurement parameter, not part of the workload:
-        # the regression gate compares configs, and a 3-repeat CI run
-        # must still gate against a 2-repeat committed baseline
+        # repeats is a measurement parameter, not part of the workload
         "config": {"tenants": tenants, "duration": duration, "seed": seed,
                    "request_rate": request_rate},
         "repeats": repeats,
@@ -135,52 +119,6 @@ def run_kernel_bench(tenants: int = 32,
     return report
 
 
-def kernel_entry(result: Dict[str, object],
-                 label: str = "head") -> Dict[str, object]:
-    """The :mod:`repro.bench` trajectory entry for a bench report."""
-    return make_entry(
-        str(result["benchmark"]),
-        result["config"],
-        {key: result[key] for key in _METRIC_KEYS},
-        primary_metric="events_per_cpu_second",
-        label=label,
-        egress_signature=result["egress_signature"],
-        profile=result.get("profile"))
-
-
-def load_bench(path: str) -> Optional[Dict[str, object]]:
-    """The benchmark trajectory at ``path`` (legacy snapshots are
-    migrated in memory), or None if absent."""
-    return load_trajectory(path)
-
-
-def check_regression(result: Dict[str, object],
-                     baseline: Dict[str, object],
-                     tolerance: float = REGRESSION_TOLERANCE) -> None:
-    """Raise :class:`BenchError` when ``result`` (a bench report or a
-    trajectory entry) regresses against the ``baseline`` trajectory.
-
-    Compares events per CPU second against the best prior entry with a
-    matching benchmark id + config, and the egress signature against
-    the most recent such entry; an empty comparable history is an error
-    (a gate that silently checks nothing would rot).
-    """
-    entry = result if result.get("schema") else kernel_entry(result)
-    gate = compare_entry(entry, baseline, tolerance=tolerance)
-    if not gate["checked"]:
-        raise BenchError(
-            f"no comparable baseline entry for "
-            f"{entry['benchmark']} with config {entry['config']}; "
-            f"re-baseline instead of comparing")
-    if not gate["ok"]:
-        raise BenchError("; ".join(gate["problems"]))
-
-
-def write_bench(path: str, result: Dict[str, object],
-                label: str = "head") -> str:
-    """Append the report to the trajectory at ``path`` (atomically,
-    migrating a legacy single-snapshot file on first touch)."""
-    from repro.bench.schema import append_entry
-
-    append_entry(path, kernel_entry(result, label=label))
-    return path
+def kernel_metrics(result: Dict[str, object]) -> Dict[str, object]:
+    """The trajectory-entry metrics of a bench report."""
+    return {key: result[key] for key in _METRIC_KEYS}

@@ -439,33 +439,17 @@ _ENTRY_METRICS = ("cells", "nondeterministic_cells", "recovery_p50",
                   "sent", "replies", "client_retries", "wall_seconds")
 
 
-def chaos_entry(summary: dict, label: str = "head",
-                config: Optional[dict] = None) -> dict:
-    """The :mod:`repro.bench` trajectory entry for a campaign summary.
+def chaos_metrics(summary: dict) -> dict:
+    """The ``chaos.storm`` trajectory-entry metrics of a campaign
+    summary.
 
     The primary metric is ``replies`` -- end-to-end client service
     under the storm -- which is fully deterministic for a fixed config,
     so the 20 % gate only trips on real behaviour changes.
     """
-    from repro.bench.schema import make_entry
-
     metrics = {key: summary.get(key) for key in _ENTRY_METRICS}
     metrics["violations"] = len(summary.get("violations", ()))
-    metrics["ok"] = bool(summary.get("ok"))
-    return make_entry("chaos.storm", config, metrics,
-                      primary_metric="replies", label=label,
-                      profile=summary.get("profile"))
-
-
-def write_chaos_bench(path: str, summary: dict, label: str = "head",
-                      config: Optional[dict] = None) -> str:
-    """Append the campaign summary to the ``BENCH_chaos.json``
-    trajectory (atomically; a legacy single-snapshot file is migrated
-    on first touch -- mirrors ``benchkernel.write_bench``)."""
-    from repro.bench.schema import append_entry
-
-    append_entry(path, chaos_entry(summary, label=label, config=config))
-    return path
+    return metrics
 
 
 def service_summary(result: dict) -> dict:

@@ -3,10 +3,12 @@
 Each function is self-contained: it builds its own simulator(s), runs the
 experiment, and returns rows of plain data.  The pytest-benchmark
 targets under ``benchmarks/`` call these with reduced durations; the
-examples call them with fuller settings.
+examples call them with fuller settings.  ``repro.campaign`` dispatches
+them by name through :mod:`repro.bench.registry`, so each is a
+module-level function whose kwargs are picklable plain data.
 """
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -422,70 +424,3 @@ def aggregation_ablation(aggregations: Sequence[str] = ("median", "leader",
         curve = result.detection_curve([confidence])
         rows.append((how, curve[0][1]))
     return rows
-
-
-#: Every public runner, dispatchable by name.  ``repro.campaign`` fans
-#: these out across worker processes, so each entry must be a
-#: module-level function whose kwargs are picklable plain data.
-RUNNERS: Dict[str, Callable] = {
-    "fig1_median_cdfs": fig1_median_cdfs,
-    "fig1_observation_curves": fig1_observation_curves,
-    "fig4_empirical_detection": fig4_empirical_detection,
-    "fig5_file_download": fig5_file_download,
-    "fig6_nfs": fig6_nfs,
-    "fig7_parsec": fig7_parsec,
-    "fig8_noise_comparison": fig8_noise_comparison,
-    "placement_utilization": placement_utilization,
-    "delta_offset_translation": delta_offset_translation,
-    "aggregation_ablation": aggregation_ablation,
-    "delta_n_ablation": delta_n_ablation,
-    "epoch_resync_ablation": epoch_resync_ablation,
-}
-
-
-def _register_flow_runner() -> None:
-    # analysis.flows imports observe -> experiments, so register lazily
-    # to keep module import acyclic
-    from repro.analysis.flows import flow_stage_latency
-
-    RUNNERS["flow_stage_latency"] = flow_stage_latency
-
-
-def _register_scale_runner() -> None:
-    from repro.analysis.scale import scale_sweep
-
-    RUNNERS["scale_sweep"] = scale_sweep
-
-
-def _register_bench_runner() -> None:
-    from repro.analysis.benchkernel import run_kernel_bench
-
-    RUNNERS["kernel_bench"] = run_kernel_bench
-
-
-def _register_chaos_runner() -> None:
-    from repro.analysis.chaos import run_chaos_cell
-
-    RUNNERS["chaos_cell"] = run_chaos_cell
-
-
-def _register_storage_runner() -> None:
-    from repro.analysis.storage import run_storage_repair_cell
-
-    RUNNERS["storage_repair"] = run_storage_repair_cell
-
-
-def _register_mitigation_runner() -> None:
-    from repro.analysis.mitigation import (mitigation_frontier,
-                                           run_mitigation_cell)
-
-    RUNNERS["mitigation_cell"] = run_mitigation_cell
-    RUNNERS["mitigation_frontier"] = mitigation_frontier
-
-
-_register_flow_runner()
-_register_scale_runner()
-_register_bench_runner()
-_register_chaos_runner()
-_register_storage_runner()
-_register_mitigation_runner()

@@ -188,28 +188,24 @@ def frontier_gate(summary: dict,
     }
 
 
-def mitigation_entry(summary: dict, label: str = "head",
-                     config: Optional[dict] = None) -> dict:
-    """The :mod:`repro.bench` trajectory entry for a frontier summary.
+def mitigation_metrics(summary: dict) -> dict:
+    """The ``mitigation.frontier`` trajectory-entry metrics of a
+    frontier summary.
 
-    When the sanity gate ran, the primary metric is ``margin_bits`` --
-    how much more the undefended baseline leaks than StopWatch on the
-    probing attack.  Leakage estimates are deterministic for a fixed
-    config, so a >20 % margin collapse means the mediation machinery
-    (or the attack) actually changed.
+    When the sanity gate ran, ``margin_bits`` -- how much more the
+    undefended baseline leaks than StopWatch on the probing attack --
+    is the primary metric.  Leakage estimates are deterministic for a
+    fixed config, so a >20 % margin collapse means the mediation
+    machinery (or the attack) actually changed.
     """
-    from repro.bench.schema import make_entry
-
     gate = summary.get("gate", {})
     metrics: Dict[str, Any] = {
         "cells": summary.get("cells"),
         "failures": len(summary.get("failures", ())),
-        "ok": bool(summary.get("ok")),
         "gate_checked": bool(gate.get("checked")),
         "gate_ok": bool(gate.get("ok")),
         "wall_seconds": summary.get("wall_seconds"),
     }
-    primary = None
     if gate.get("checked"):
         metrics["baseline_bits"] = gate.get("baseline_bits")
         metrics["mitigated_bits"] = gate.get("mitigated_bits")
@@ -217,21 +213,7 @@ def mitigation_entry(summary: dict, label: str = "head",
                 and isinstance(gate.get("mitigated_bits"), (int, float)):
             metrics["margin_bits"] = round(
                 gate["baseline_bits"] - gate["mitigated_bits"], 6)
-            primary = "margin_bits"
-    return make_entry("mitigation.frontier", config, metrics,
-                      primary_metric=primary, label=label)
-
-
-def write_mitigation_bench(path: str, summary: dict, label: str = "head",
-                           config: Optional[dict] = None) -> str:
-    """Append the frontier summary to the ``BENCH_mitigation.json``
-    trajectory (atomically; a legacy single-snapshot file is migrated
-    on first touch -- mirrors ``chaos.write_chaos_bench``)."""
-    from repro.bench.schema import append_entry
-
-    append_entry(path, mitigation_entry(summary, label=label,
-                                        config=config))
-    return path
+    return metrics
 
 
 def policy_signature(policy, seed: int = 5, duration: float = 3.0,

@@ -14,8 +14,8 @@ hosts *fleets*.  For each tenant count it builds a placed multi-tenant
   signature of the seeded egress release trace (equal signatures
   across two same-seed runs == byte-identical observable behaviour).
 
-``scale_sweep`` is registered in ``analysis.experiments.RUNNERS`` and
-drives the ``repro scale`` CLI and the ``benchmarks/`` scale table;
+``scale_sweep`` is the ``scale_sweep`` cell of
+:mod:`repro.bench.registry` and drives the ``repro scale`` CLI and the ``benchmarks/`` scale table;
 rows are plain data, so campaign workers can cache them.
 """
 

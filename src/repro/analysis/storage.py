@@ -246,29 +246,15 @@ _ENTRY_METRICS = ("sent", "replies", "puts_completed", "gets_completed",
                   "signature_records")
 
 
-def storage_entry(result: dict, label: str = "head",
-                  config: Optional[dict] = None) -> dict:
-    """The :mod:`repro.bench` trajectory entry for one repair cell.
+def storage_metrics(result: dict) -> dict:
+    """The ``storage.repair`` trajectory-entry metrics of one repair
+    cell.
 
     Primary metric: ``repaired_bytes_per_sim_s`` -- reconstruction
     throughput across the mediated fabric, fully deterministic for a
     fixed config, so the regression gate only trips on real behaviour
     changes.
     """
-    from repro.bench.schema import make_entry
-
     metrics = {key: result.get(key) for key in _ENTRY_METRICS}
     metrics["violations"] = len(result.get("violations", ()))
-    metrics["ok"] = bool(result.get("ok"))
-    return make_entry("storage.repair", config, metrics,
-                      primary_metric="repaired_bytes_per_sim_s",
-                      label=label, profile=result.get("profile"))
-
-
-def write_storage_bench(path: str, result: dict, label: str = "head",
-                        config: Optional[dict] = None) -> str:
-    """Append the cell result to the ``BENCH_storage.json`` trajectory."""
-    from repro.bench.schema import append_entry
-
-    append_entry(path, storage_entry(result, label=label, config=config))
-    return path
+    return metrics

@@ -5,16 +5,17 @@ Subcommands::
     repro bench run --benchmark kernel.scale32 [--profile] [--gate]
     repro bench compare [--path BENCH_kernel.json] [--gate]
     repro bench history [--path BENCH_kernel.json]
-    repro bench migrate BENCH_kernel.json [...]
     repro bench list
 
-``run`` executes a registered benchmark, appends one schema-versioned
-entry to the family trajectory and reports the regression gate against
-the prior entries (the freshly appended entry never gates against
-itself).  ``compare`` re-gates the *last* recorded entry against its
-history -- that is the CI job's cheap post-hoc check.  Both exit
-non-zero on a regression; ``--gate`` additionally fails when there is
-no comparable history at all (a gate that silently checks nothing).
+``run`` executes a benchmark cell, appends one schema-versioned entry
+to the family trajectory and reports the regression gate against the
+prior entries (the freshly appended entry never gates against itself).
+``compare`` re-gates the *last* recorded entry against its history --
+that is the CI job's cheap post-hoc check.  Both exit non-zero on a
+regression; ``--gate`` additionally fails when there is no comparable
+history at all (a gate that silently checks nothing).  ``run`` also
+exits non-zero when the cell's own gate fails (the entry's ``ok`` is
+false).
 """
 
 import argparse
@@ -28,6 +29,14 @@ def _parse_value(text: str) -> Any:
         return json.loads(text)
     except ValueError:
         return text
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be in [0, 1), got {text}")
+    return value
 
 
 def _parse_set(pairs: Optional[Sequence[str]]) -> Dict[str, Any]:
@@ -102,11 +111,13 @@ def cmd_bench_run(args) -> None:
         from repro.prof.export import write_speedscope
         write_speedscope(args.profile_out, profile, name=args.benchmark)
 
+    cell_failed = entry["metrics"].get("ok") is False
     if args.json:
         print(json.dumps({"entry": entry, "gate": gate,
                           "path": None if args.no_write else path},
                          indent=2))
-        if not gate["ok"] or (args.gate and not gate["checked"]):
+        if not gate["ok"] or (args.gate and not gate["checked"]) \
+                or cell_failed:
             raise SystemExit(1)
     else:
         metric = entry.get("primary_metric")
@@ -125,7 +136,11 @@ def cmd_bench_run(args) -> None:
                   f"(open in https://www.speedscope.app)")
         if not args.no_write:
             print(f"appended entry to {path}")
-        if _gate_report(gate, strict=args.gate):
+        failed = _gate_report(gate, strict=args.gate)
+        if cell_failed:
+            print(f"cell gate: FAIL ({entry['benchmark']} reported "
+                  f"ok=false)")
+        if failed or cell_failed:
             raise SystemExit(1)
 
 
@@ -184,36 +199,6 @@ def cmd_bench_history(args) -> None:
                         "value", "signature"], rows))
 
 
-def cmd_bench_migrate(args) -> None:
-    from repro.bench import (TRAJECTORY_SCHEMA, BenchSchemaError,
-                             migrate_snapshot, write_trajectory)
-
-    failed = False
-    for path in args.paths:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"{path}: SKIP ({exc})")
-            failed = True
-            continue
-        if doc.get("schema") == TRAJECTORY_SCHEMA:
-            print(f"{path}: already migrated "
-                  f"({len(doc.get('entries', ()))} entries)")
-            continue
-        try:
-            trajectory = migrate_snapshot(doc)
-        except BenchSchemaError as exc:
-            print(f"{path}: FAIL ({exc})")
-            failed = True
-            continue
-        write_trajectory(path, trajectory)
-        print(f"{path}: migrated legacy snapshot -> "
-              f"{len(trajectory['entries'])} trajectory entries")
-    if failed:
-        raise SystemExit(1)
-
-
 def cmd_bench_list(args) -> None:
     from repro.bench import benchmark_names, default_path
 
@@ -224,6 +209,8 @@ def cmd_bench_list(args) -> None:
 
 def add_bench_parser(sub) -> None:
     """Register the ``bench`` subcommand on the main CLI's subparsers."""
+    from repro.bench.schema import DEFAULT_TOLERANCE
+
     p = sub.add_parser(
         "bench", help="unified benchmark registry: run named "
                       "benchmarks, append trajectory entries, gate "
@@ -249,8 +236,9 @@ def add_bench_parser(sub) -> None:
     r.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a benchmark parameter (repeatable; "
                         "values parse as JSON when possible)")
-    r.add_argument("--tolerance", type=float, default=None,
-                   help="regression tolerance (default 0.20)")
+    r.add_argument("--tolerance", type=_tolerance,
+                   default=DEFAULT_TOLERANCE,
+                   help="regression tolerance in [0, 1) (default 0.20)")
     r.add_argument("--gate", action="store_true",
                    help="fail when there is no comparable history")
     r.add_argument("--json", action="store_true")
@@ -262,7 +250,8 @@ def add_bench_parser(sub) -> None:
                    help="trajectory file")
     c.add_argument("--benchmark", default=None,
                    help="restrict to one benchmark id")
-    c.add_argument("--tolerance", type=float, default=None)
+    c.add_argument("--tolerance", type=_tolerance,
+                   default=DEFAULT_TOLERANCE)
     c.add_argument("--gate", action="store_true",
                    help="fail when there is no comparable history")
     c.add_argument("--json", action="store_true")
@@ -274,14 +263,5 @@ def add_bench_parser(sub) -> None:
     h.add_argument("--benchmark", default=None)
     h.set_defaults(fn=cmd_bench_history)
 
-    m = bench_sub.add_parser("migrate", help="rewrite legacy BENCH_* "
-                                             "snapshots as trajectories")
-    m.add_argument("paths", nargs="+", metavar="PATH")
-    m.set_defaults(fn=cmd_bench_migrate)
-
     ls = bench_sub.add_parser("list", help="registered benchmark ids")
     ls.set_defaults(fn=cmd_bench_list)
-
-    from repro.bench.schema import DEFAULT_TOLERANCE
-    for sp in (r, c):
-        sp.set_defaults(tolerance=DEFAULT_TOLERANCE)

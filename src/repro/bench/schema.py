@@ -1,10 +1,7 @@
 """The unified benchmark artifact: versioned entries, append-only
-trajectories, a one-shot legacy migrator, and the regression gate.
+trajectories, and the regression gate.
 
-Before this module the repo carried three mutually incompatible
-``BENCH_*.json`` snapshots that every run silently overwrote -- the
-speed curve the ROADMAP asks for did not exist.  Now every benchmark
-run appends one **entry** ::
+Every benchmark run appends one **entry** ::
 
     {"schema": "repro.bench/1", "benchmark": "kernel.scale32",
      "label": "head", "recorded": "<iso8601>",
@@ -19,10 +16,11 @@ to a **trajectory** file ::
 
     {"schema": "repro.bench.trajectory/1", "entries": [entry, ...]}
 
-Entries are never rewritten; :func:`append_entry` loads (migrating any
-legacy single-snapshot file in place), validates, appends and writes
-back atomically.  :func:`compare_entry` is the gate: a candidate fails
-against the **best** prior comparable entry (same benchmark id and
+Entries are never rewritten; :func:`append_entry` loads, validates,
+appends and writes back atomically.  A file that is not a trajectory
+(e.g. a pre-schema single snapshot) is refused with
+:class:`BenchSchemaError`.  :func:`compare_entry` is the gate: a
+candidate fails against the **best** prior comparable entry (same benchmark id and
 config) when its primary metric drops more than ``tolerance`` (default
 20 %), and against the most recent comparable entry when the egress
 signature changed.
@@ -113,90 +111,11 @@ def empty_trajectory() -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# the one-shot migrator for the pre-schema BENCH_* snapshots
-# ---------------------------------------------------------------------------
-def _legacy_kernel_entries(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
-    benchmark = doc.get("benchmark", "kernel")
-    entries = []
-    for item in doc.get("trajectory", ()):
-        metrics = {name: value for name, value in item.items()
-                   if name != "label"
-                   and isinstance(value, (int, float, bool))}
-        if not metrics:
-            continue
-        entries.append(make_entry(
-            benchmark, doc.get("config"), metrics,
-            primary_metric=("events_per_cpu_second"
-                            if "events_per_cpu_second" in metrics
-                            else None),
-            label=item.get("label", "previous"), recorded="migrated"))
-    metrics = {name: value for name, value in doc.items()
-               if isinstance(value, (int, float, bool))
-               and name not in ("repeats",)}
-    entries.append(make_entry(
-        benchmark, doc.get("config"), metrics,
-        primary_metric=("events_per_cpu_second"
-                        if "events_per_cpu_second" in metrics else None),
-        label=doc.get("label", "head"),
-        egress_signature=doc.get("egress_signature"),
-        recorded="migrated"))
-    return entries
-
-
-def _legacy_summary_entries(doc: Dict[str, Any],
-                            benchmark: str) -> List[Dict[str, Any]]:
-    entries = []
-    for item in doc.get("trajectory", ()):
-        metrics = {name: value for name, value in item.items()
-                   if name != "label"
-                   and isinstance(value, (int, float, bool))}
-        if not metrics:
-            continue
-        entries.append(make_entry(benchmark, None, metrics,
-                                  label=item.get("label", "previous"),
-                                  recorded="migrated"))
-    metrics = {name: value for name, value in doc.items()
-               if isinstance(value, (int, float, bool))}
-    metrics["violations"] = len(doc.get("violations", ()))
-    metrics["failures"] = len(doc.get("failures", ()))
-    entries.append(make_entry(benchmark, None, metrics,
-                              label=doc.get("label", "head"),
-                              recorded="migrated"))
-    return entries
-
-
-def migrate_snapshot(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Convert a legacy single-snapshot ``BENCH_*`` document (kernel,
-    chaos or mitigation flavour) into a trajectory: the snapshot's own
-    embedded prior-runs list becomes the leading entries, the snapshot
-    itself the last."""
-    if doc.get("schema") == TRAJECTORY_SCHEMA:
-        return doc
-    if doc.get("schema") == ENTRY_SCHEMA:
-        return {"schema": TRAJECTORY_SCHEMA, "entries": [doc]}
-    trajectory = empty_trajectory()
-    if "events_per_cpu_second" in doc or str(
-            doc.get("benchmark", "")).startswith("kernel"):
-        trajectory["entries"] = _legacy_kernel_entries(doc)
-    elif "evacuations" in doc or "recovery_p50" in doc:
-        trajectory["entries"] = _legacy_summary_entries(
-            doc, "chaos.campaign")
-    elif "gate" in doc or "rows" in doc:
-        trajectory["entries"] = _legacy_summary_entries(
-            doc, "mitigation.frontier")
-    else:
-        raise BenchSchemaError(
-            "unrecognised legacy BENCH document: expected a kernel, "
-            "chaos or mitigation snapshot")
-    return trajectory
-
-
-# ---------------------------------------------------------------------------
 # trajectory IO
 # ---------------------------------------------------------------------------
 def load_trajectory(path: str) -> Optional[Dict[str, Any]]:
-    """The trajectory at ``path`` (migrating a legacy snapshot in
-    memory), or ``None`` when the file does not exist."""
+    """The trajectory at ``path``, or ``None`` when the file does not
+    exist."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -204,10 +123,13 @@ def load_trajectory(path: str) -> Optional[Dict[str, Any]]:
         return None
     except ValueError as exc:
         raise BenchSchemaError(f"cannot parse {path}: {exc}") from exc
-    trajectory = migrate_snapshot(doc)
-    if not isinstance(trajectory.get("entries"), list):
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != TRAJECTORY_SCHEMA:
+        raise BenchSchemaError(f"{path}: not a {TRAJECTORY_SCHEMA} "
+                               f"document (schema {schema!r})")
+    if not isinstance(doc.get("entries"), list):
         raise BenchSchemaError(f"{path}: trajectory has no entries list")
-    return trajectory
+    return doc
 
 
 def write_trajectory(path: str, trajectory: Dict[str, Any]) -> str:
@@ -217,8 +139,8 @@ def write_trajectory(path: str, trajectory: Dict[str, Any]) -> str:
 
 
 def append_entry(path: str, entry: Dict[str, Any]) -> Dict[str, Any]:
-    """Append ``entry`` to the trajectory at ``path`` (creating or
-    migrating the file as needed); returns the updated trajectory."""
+    """Append ``entry`` to the trajectory at ``path`` (creating the
+    file as needed); returns the updated trajectory."""
     problems = validate_entry(entry)
     if problems:
         raise BenchSchemaError(f"refusing to append invalid entry: "
@@ -266,8 +188,12 @@ def compare_entry(entry: Dict[str, Any], trajectory: Dict[str, Any],
     False when the primary metric regressed beyond ``tolerance`` vs the
     best comparable prior entry, or the egress signature changed vs the
     most recent comparable one.  With no comparable history the gate
-    passes vacuously (``checked=False``).
+    passes vacuously (``checked=False``).  ``tolerance`` must lie in
+    [0, 1).
     """
+    if not 0.0 <= tolerance < 1.0:
+        raise BenchSchemaError(
+            f"tolerance must be in [0, 1), got {tolerance!r}")
     priors = comparable_entries(trajectory, entry)
     problems: List[str] = []
     detail: List[str] = []

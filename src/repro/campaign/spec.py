@@ -1,7 +1,7 @@
 """Declarative campaign specifications.
 
 A campaign is a set of *cells*: (runner, params, seed) triples expanded
-from one or more sweeps over the `repro.analysis.experiments` runners.
+from one or more sweeps over the cells in `repro.bench.registry`.
 Specs load from TOML or JSON files or are built in Python::
 
     name = "fig5-sweep"
@@ -24,13 +24,13 @@ Runners whose signature has no ``seed`` parameter expand to a single
 unseeded cell per param point.
 """
 
-import importlib
 import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.bench.registry import UnknownBenchmark, cell_names, load, lookup
 from repro.sim.rng import derive_root_seed
 
 
@@ -39,23 +39,21 @@ class CampaignError(ValueError):
 
 
 def resolve_runner(name: str) -> Callable:
-    """Look up a runner by registry name, or by ``module:function`` path
-    (the escape hatch used by tests and custom drivers)."""
-    if ":" in name:
-        module_name, _, attr = name.partition(":")
+    """Look up a runner by cell name (:mod:`repro.bench.registry`), or
+    by ``module:function`` path (the escape hatch used by tests and
+    custom scripts)."""
+    if ":" not in name:
         try:
-            module = importlib.import_module(module_name)
-            return getattr(module, attr)
-        except (ImportError, AttributeError) as exc:
-            raise CampaignError(f"cannot import runner {name!r}: {exc}") \
-                from exc
-    from repro.analysis.experiments import RUNNERS
+            name = lookup(name)[0].runner
+        except UnknownBenchmark:
+            raise CampaignError(
+                f"unknown runner {name!r}; choose one of {cell_names()} "
+                f"or use a module:function path") from None
     try:
-        return RUNNERS[name]
-    except KeyError:
-        raise CampaignError(
-            f"unknown runner {name!r}; choose one of "
-            f"{sorted(RUNNERS)} or use a module:function path") from None
+        return load(name)
+    except (ImportError, AttributeError) as exc:
+        raise CampaignError(f"cannot import runner {name!r}: {exc}") \
+            from exc
 
 
 def canonical_params(params: Dict[str, Any]) -> str:

@@ -22,7 +22,6 @@ Usage::
     python -m repro bench run --benchmark kernel.scale32 [--profile]
     python -m repro bench compare --path BENCH_kernel.json --gate
     python -m repro bench history --path BENCH_kernel.json
-    python -m repro bench migrate BENCH_kernel.json
     python -m repro campaign run examples/fig5_sweep.toml --jobs 0
     python -m repro campaign status examples/fig5_sweep.toml
     python -m repro campaign resume examples/fig5_sweep.toml
@@ -31,6 +30,7 @@ Usage::
 """
 
 import argparse
+import json
 import sys
 from typing import List
 
@@ -344,10 +344,7 @@ def cmd_chaos(args) -> None:
 
 
 def cmd_chaos_campaign(args) -> None:
-    import json
-
-    from repro.analysis.chaos import (CELL_SCENARIOS, run_chaos_campaign,
-                                      write_chaos_bench)
+    from repro.analysis.chaos import CELL_SCENARIOS, run_chaos_campaign
     from repro.sim.rng import derive_root_seed
 
     scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
@@ -370,13 +367,6 @@ def cmd_chaos_campaign(args) -> None:
                          name="chaos campaign")
         if not args.json:
             print(f"wrote speedscope profile to {args.profile_out}")
-    if args.output:
-        config = {"seeds": args.seeds, "scenarios": scenarios,
-                  "duration": duration, "rate": args.rate}
-        path = write_chaos_bench(args.output, summary, label=args.label,
-                                 config=config)
-        if not args.json:
-            print(f"appended entry to {path}")
     if args.json:
         print(json.dumps(summary, indent=2, default=repr))
     else:
@@ -413,12 +403,8 @@ def cmd_chaos_campaign(args) -> None:
 
 
 def cmd_mitigate(args) -> None:
-    import json
-
     from repro.analysis import format_table
-    from repro.analysis.mitigation import (ATTACK_NAMES,
-                                           mitigation_frontier,
-                                           write_mitigation_bench)
+    from repro.analysis.mitigation import ATTACK_NAMES, mitigation_frontier
     from repro.mitigation import POLICIES
     from repro.sim.rng import derive_root_seed
 
@@ -439,14 +425,6 @@ def cmd_mitigate(args) -> None:
         policies=policies, attacks=attacks, duration=args.duration,
         seeds=seeds, bins=args.bins, workload=args.workload,
         jobs=args.jobs, progress=progress)
-    if args.output:
-        config = {"policies": policies, "attacks": attacks,
-                  "duration": args.duration, "seeds": args.seeds,
-                  "bins": args.bins, "workload": args.workload}
-        path = write_mitigation_bench(args.output, summary,
-                                      label=args.label, config=config)
-        if not args.json:
-            print(f"appended entry to {path}")
     if args.json:
         print(json.dumps(summary, indent=2, default=repr))
     else:
@@ -595,23 +573,13 @@ def cmd_workloads(args) -> None:
 
 
 def cmd_storage(args) -> None:
-    from repro.analysis.storage import (run_storage_repair_cell,
-                                        write_storage_bench)
+    from repro.analysis.storage import run_storage_repair_cell
 
     result = run_storage_repair_cell(
         seed=args.seed, duration=args.duration, k=args.k, n=args.n,
         object_size=args.object_size, objects=args.objects,
         crash_at=args.crash_at, check_determinism=not args.once,
         profile=args.profile)
-    if args.output:
-        config = {"seed": args.seed, "duration": args.duration,
-                  "k": args.k, "n": args.n,
-                  "object_size": args.object_size,
-                  "objects": args.objects, "crash_at": args.crash_at}
-        path = write_storage_bench(args.output, result,
-                                   label=args.label, config=config)
-        if not args.json:
-            print(f"appended entry to {path}")
     if args.json:
         print(json.dumps(result, indent=2, default=repr))
     else:
@@ -645,67 +613,11 @@ def cmd_storage(args) -> None:
         raise SystemExit(1)
 
 
-def cmd_bench_kernel(args) -> None:
-    from repro.analysis.benchkernel import (BenchError, check_regression,
-                                            load_bench, run_kernel_bench,
-                                            write_bench)
-
-    result = run_kernel_bench(
-        tenants=args.tenants, duration=args.duration, seed=args.seed,
-        request_rate=args.rate, repeats=args.repeats,
-        profile=args.profile)
-    print(f"{result['benchmark']}: "
-          f"{result['events_per_cpu_second']:.0f} events/CPU-s "
-          f"({result['events_per_second']:.0f} events/wall-s), "
-          f"{result['events_fired']} events in "
-          f"{result['cpu_seconds']:.2f}s CPU")
-    print(f"high-water: heap {result['heap_high_water']} "
-          f"bucket {result['bucket_high_water']} "
-          f"far {result['far_high_water']}; "
-          f"mediation p95 {result['mediation_p95'] * 1000:.3f} ms")
-    print(f"determinism: {args.repeats} warm repeats, egress signature "
-          f"{result['egress_signature'][:16]}... identical")
-    if args.profile:
-        from repro.bench.cli import profile_lines
-        print("profiled extra repeat: egress signature byte-identical")
-        for line in profile_lines(result["profile"]):
-            print(line)
-        if args.profile_out:
-            from repro.prof.export import write_speedscope
-            write_speedscope(args.profile_out, result["profile"],
-                             name=result["benchmark"])
-            print(f"wrote speedscope profile to {args.profile_out} "
-                  f"(open in https://www.speedscope.app)")
-    elif args.profile_out:
-        raise SystemExit("--profile-out requires --profile")
-
-    baseline_path = args.baseline or args.output
-    baseline = load_bench(baseline_path)
-    if args.check_regression:
-        if baseline is None:
-            print(f"no baseline at {baseline_path}; skipping "
-                  f"regression gate")
-        else:
-            try:
-                check_regression(result, baseline)
-            except BenchError as exc:
-                print(f"FAIL: {exc}")
-                raise SystemExit(1)
-            print(f"regression gate: PASS vs trajectory at "
-                  f"{baseline_path} "
-                  f"({len(baseline.get('entries', ()))} entries)")
-    if not args.no_write:
-        path = write_bench(args.output, result, label=args.label)
-        print(f"appended entry to {path}")
-
-
 def cmd_list(args) -> None:
-    from repro.analysis.experiments import RUNNERS
-    print("Available experiments: fig1 fig4 fig5 fig6 fig7 fig8 "
-          "placement offsets covert collab trace metrics spans flows "
-          "chaos mitigate scale storage workloads bench-kernel bench "
-          "campaign")
-    print("Campaign runners: " + " ".join(sorted(RUNNERS)))
+    from repro.bench.registry import cell_names
+    print("Subcommands: " + " ".join(args.commands))
+    print("Cells (campaign runners and bench ids): "
+          + " ".join(cell_names()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -834,11 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign: storm fault rate (faults/s)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="campaign: worker processes")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="campaign: write the gate summary (e.g. "
-                        "BENCH_chaos.json), carrying the trajectory")
-    p.add_argument("--label", default="head",
-                   help="campaign: label recorded in --output")
     p.add_argument("--json", action="store_true",
                    help="campaign: print the full summary as JSON")
     p.add_argument("--profile", action="store_true",
@@ -872,12 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="victim workload")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="write the frontier summary (e.g. "
-                        "BENCH_mitigation.json), carrying the "
-                        "trajectory")
-    p.add_argument("--label", default="head",
-                   help="label recorded in --output")
     p.add_argument("--json", action="store_true",
                    help="print the full summary as JSON")
     p.set_defaults(fn=cmd_mitigate)
@@ -946,11 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="when the share-holding host is condemned")
     p.add_argument("--once", action="store_true",
                    help="skip the same-seed determinism replay")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="append the cell entry to a trajectory file "
-                        "(e.g. BENCH_storage.json)")
-    p.add_argument("--label", default="head",
-                   help="label recorded in --output")
     p.add_argument("--json", action="store_true",
                    help="print the full cell result as JSON")
     p.add_argument("--profile", action="store_true",
@@ -958,48 +854,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "CPU attribution (measurement-only)")
     p.set_defaults(fn=cmd_storage)
 
-    p = sub.add_parser("bench-kernel", help="event-loop throughput on "
-                                            "the consolidated fleet "
-                                            "cell; writes "
-                                            "BENCH_kernel.json and "
-                                            "gates regressions")
-    p.add_argument("--tenants", type=_positive_int, default=32)
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--rate", type=float, default=30.0,
-                   help="per-client request rate")
-    p.add_argument("--repeats", type=_positive_int, default=2,
-                   help="warm in-process repeats (signatures must match)")
-    p.add_argument("--output", default="BENCH_kernel.json",
-                   help="artifact path (atomic write)")
-    p.add_argument("--baseline", default=None, metavar="JSON",
-                   help="baseline for the regression gate (default: "
-                        "the existing --output file)")
-    p.add_argument("--check-regression", action="store_true",
-                   help="exit non-zero when events/CPU-s drops >20%% "
-                        "below the baseline")
-    p.add_argument("--label", default="head",
-                   help="trajectory label recorded in the artifact")
-    p.add_argument("--no-write", action="store_true",
-                   help="measure and gate only; leave the artifact "
-                        "untouched")
-    p.add_argument("--profile", action="store_true",
-                   help="run one extra profiled repeat (headline "
-                        "metrics stay unprofiled; the profiled run's "
-                        "egress signature must match byte-for-byte)")
-    p.add_argument("--profile-out", default=None, metavar="JSON",
-                   help="write the profile as speedscope JSON "
-                        "(requires --profile)")
-    p.set_defaults(fn=cmd_bench_kernel)
-
     from repro.bench.cli import add_bench_parser
     add_bench_parser(sub)
 
     from repro.campaign.cli import add_campaign_parser
     add_campaign_parser(sub)
 
-    p = sub.add_parser("list", help="list experiments")
-    p.set_defaults(fn=cmd_list)
+    p = sub.add_parser("list", help="list subcommands and cells")
+    p.set_defaults(fn=cmd_list, commands=list(sub.choices))
     return parser
 
 

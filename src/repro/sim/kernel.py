@@ -597,14 +597,11 @@ class Simulator:
     # ------------------------------------------------------------------
     # instrumentation
     # ------------------------------------------------------------------
-    def events_per_second(self) -> float:
-        """Fired events per host wall-clock second across all runs."""
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.event_count / self.wall_seconds
-
     def stats(self) -> dict:
-        """Event-loop health counters as plain data."""
+        """Event-loop health counters as plain data;
+        ``events_per_second`` is fired events per host wall-clock
+        second across all runs."""
+        wall = self.wall_seconds
         report = {
             "now": self.now,
             "events_fired": self.event_count,
@@ -613,8 +610,9 @@ class Simulator:
             "heap_high_water": self.heap_high_water,
             "bucket_high_water": self.bucket_high_water,
             "far_high_water": self.far_high_water,
-            "wall_seconds": self.wall_seconds,
-            "events_per_second": self.events_per_second(),
+            "wall_seconds": wall,
+            "events_per_second": self.event_count / wall if wall > 0.0
+            else 0.0,
             "trace_records": len(self.trace),
             "trace_dropped": getattr(self.trace, "dropped", 0),
             "metric_counters": dict(self.metrics.counters),
@@ -624,15 +622,6 @@ class Simulator:
             report["profile_subsystems"] = self.profiler.summary(
                 loop_seconds=self.wall_seconds)["subsystems"]
         return report
-
-    @property
-    def profile_stats(self) -> Dict[str, List[float]]:
-        """Per-callback ``{qualname: [calls, seconds]}`` (PR-1 shape);
-        empty when profiling is off."""
-        if self.profiler is None:
-            return {}
-        return {name: [row["calls"], row["seconds"]]
-                for name, row in self.profiler.by_callback().items()}
 
     def __repr__(self) -> str:
         return (f"<Simulator now={self.now:.6f} "

@@ -1,17 +1,21 @@
-"""Tests for the kernel benchmark harness and its regression gate."""
+"""Tests for the kernel benchmark harness and its ``kernel.scale<N>``
+cell: the entry it produces, append-only trajectories, and the
+``repro bench run`` regression gate."""
 
 import json
 
 import pytest
 
-from repro.analysis.benchkernel import (BenchError, check_regression,
-                                        kernel_entry, load_bench,
-                                        run_kernel_bench, write_bench)
-from repro.bench.schema import (TRAJECTORY_SCHEMA, empty_trajectory,
-                                make_entry)
+from repro.analysis.benchkernel import run_kernel_bench
+from repro.bench import (TRAJECTORY_SCHEMA, append_entry, empty_trajectory,
+                         load_trajectory, make_entry, run_benchmark,
+                         write_trajectory)
+from repro.cli import main
 
-CONFIG = {"tenants": 32, "duration": 2.0, "seed": 1,
-          "request_rate": 30.0}
+SMALL = {"duration": 0.2, "seed": 3, "repeats": 1}
+SMALL_ARGS = ["--set", "duration=0.2", "--set", "seed=3",
+              "--set", "repeats=1"]
+CONFIG = {"tenants": 2, "duration": 0.2, "seed": 3, "request_rate": 30.0}
 
 
 def small_bench(**kwargs):
@@ -20,18 +24,21 @@ def small_bench(**kwargs):
     return run_kernel_bench(**params)
 
 
-def entry(eps, config=None, signature="a" * 64, label="head"):
-    return make_entry("kernel.scale32", config or dict(CONFIG),
-                      {"events_per_cpu_second": eps},
-                      primary_metric="events_per_cpu_second",
-                      egress_signature=signature, label=label)
+def baseline(tmp_path, eps, signature=None, config=CONFIG):
+    """A one-entry kernel.scale2 trajectory file; returns its path."""
+    doc = empty_trajectory()
+    doc["entries"].append(make_entry(
+        "kernel.scale2", dict(config), {"events_per_cpu_second": eps},
+        primary_metric="events_per_cpu_second",
+        egress_signature=signature, label="base"))
+    path = str(tmp_path / "BENCH_kernel.json")
+    write_trajectory(path, doc)
+    return path
 
 
-def baseline(eps=100_000.0, signature="a" * 64):
-    trajectory = empty_trajectory()
-    trajectory["entries"].append(entry(eps, signature=signature,
-                                       label="base"))
-    return trajectory
+def bench_run(path, *extra):
+    return main(["bench", "run", "--benchmark", "kernel.scale2",
+                 *SMALL_ARGS, "--output", path, "--no-write", *extra])
 
 
 class TestRunKernelBench:
@@ -70,75 +77,66 @@ class TestRunKernelBench:
 class TestKernelEntry:
     def test_entry_shape(self):
         result = small_bench()
-        made = kernel_entry(result, label="v1")
+        made = run_benchmark("kernel.scale2", label="v1",
+                             overrides=dict(SMALL, repeats=2))
         assert made["benchmark"] == "kernel.scale2"
         assert made["label"] == "v1"
-        assert made["config"] == result["config"]
+        assert made["config"] == CONFIG == result["config"]
         assert made["primary_metric"] == "events_per_cpu_second"
         assert made["egress_signature"] == result["egress_signature"]
         assert made["metrics"]["events_fired"] == result["events_fired"]
+        assert made["metrics"]["ok"] is True
         assert "profile" not in made
 
 
 class TestRegressionGate:
-    def test_within_tolerance_passes(self):
-        check_regression(entry(85_000.0), baseline())
-        check_regression(entry(120_000.0), baseline())
+    """``repro bench run`` gates the cell against a trajectory."""
 
-    def test_regression_beyond_tolerance_fails(self):
-        with pytest.raises(BenchError, match="regressed"):
-            check_regression(entry(70_000.0), baseline())
+    def test_within_tolerance_passes(self, tmp_path, capsys):
+        assert bench_run(baseline(tmp_path, 1.0), "--gate") == 0
+        out = capsys.readouterr().out
+        assert "gate: PASS" in out and "vacuous" not in out
 
-    def test_config_mismatch_is_an_error_not_a_pass(self):
-        other = entry(200_000.0, config=dict(CONFIG, tenants=8))
-        with pytest.raises(BenchError, match="config"):
-            check_regression(other, baseline())
+    def test_regression_beyond_tolerance_fails(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            bench_run(baseline(tmp_path, 1e12))
+        assert err.value.code == 1
+        assert "regressed" in capsys.readouterr().out
 
-    def test_signature_change_fails(self):
-        with pytest.raises(BenchError, match="signature"):
-            check_regression(entry(100_000.0, signature="b" * 64),
-                             baseline())
+    def test_config_mismatch_is_an_error_not_a_pass(self, tmp_path,
+                                                     capsys):
+        path = baseline(tmp_path, 1.0, config=dict(CONFIG, tenants=8))
+        with pytest.raises(SystemExit) as err:
+            bench_run(path, "--gate")
+        assert err.value.code == 1
+        assert "none found" in capsys.readouterr().out
+
+    def test_signature_change_fails(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            bench_run(baseline(tmp_path, 1.0, signature="b" * 64))
+        assert err.value.code == 1
+        assert "signature changed" in capsys.readouterr().out
 
 
 class TestWriteBench:
     def test_append_only_trajectory(self, tmp_path):
         path = str(tmp_path / "BENCH_kernel.json")
-        first = small_bench()
-        write_bench(path, first, label="v1")
-        loaded = load_bench(path)
+        first = run_benchmark("kernel.scale2", label="v1", overrides=SMALL)
+        append_entry(path, first)
+        loaded = load_trajectory(path)
         assert loaded["schema"] == TRAJECTORY_SCHEMA
         assert [e["label"] for e in loaded["entries"]] == ["v1"]
 
-        second = small_bench()
-        write_bench(path, second, label="v2")
-        loaded = load_bench(path)
+        append_entry(path, run_benchmark("kernel.scale2", label="v2",
+                                         overrides=SMALL))
+        loaded = load_trajectory(path)
         assert [e["label"] for e in loaded["entries"]] == ["v1", "v2"]
         assert loaded["entries"][0]["metrics"]["events_per_cpu_second"] \
-            == first["events_per_cpu_second"]
+            == first["metrics"]["events_per_cpu_second"]
         # the file is well-formed JSON ending in a newline (atomic writer)
         raw = open(path, encoding="utf-8").read()
         assert raw.endswith("\n")
         json.loads(raw)
 
-    def test_legacy_snapshot_migrates_on_append(self, tmp_path):
-        path = tmp_path / "BENCH_kernel.json"
-        legacy = {
-            "benchmark": "kernel.scale2", "label": "old",
-            "config": {"tenants": 2, "duration": 0.2, "seed": 3,
-                       "request_rate": 30.0},
-            "events_per_cpu_second": 50_000.0, "events_fired": 100,
-            "egress_signature": "c" * 64,
-            "trajectory": [{"label": "older",
-                            "events_per_cpu_second": 30_000.0}],
-        }
-        path.write_text(json.dumps(legacy))
-        result = small_bench()
-        write_bench(str(path), result, label="new")
-        loaded = load_bench(str(path))
-        assert loaded["schema"] == TRAJECTORY_SCHEMA
-        assert [e["label"] for e in loaded["entries"]] == \
-            ["older", "old", "new"]
-        assert loaded["entries"][1]["egress_signature"] == "c" * 64
-
     def test_load_missing_returns_none(self, tmp_path):
-        assert load_bench(str(tmp_path / "absent.json")) is None
+        assert load_trajectory(str(tmp_path / "absent.json")) is None

@@ -10,8 +10,8 @@ from repro.analysis.chaos import (
     run_chaos_cell,
     run_chaos_campaign,
     summarize_chaos_campaign,
-    write_chaos_bench,
 )
+from repro.bench import append_entry, cell_entry
 
 # small but real: one seed, one scenario, determinism replay on
 CELL_KWARGS = {"seed": 13, "scenario": "single", "duration": 4.0,
@@ -122,8 +122,9 @@ class TestSummary:
     def test_bench_artifact_round_trip(self, tmp_path):
         summary = summarize_chaos_campaign(self.fake_report())
         path = str(tmp_path / "BENCH_chaos.json")
-        write_chaos_bench(path, summary, label="head",
-                          config={"seeds": 2, "scenarios": ["single"]})
+        config = {"seeds": 2, "scenarios": ["single"]}
+        append_entry(path, cell_entry("chaos.storm", summary,
+                                      config=config, label="head"))
         first = json.loads(open(path, encoding="utf-8").read())
         assert first["schema"] == "repro.bench.trajectory/1"
         assert [e["label"] for e in first["entries"]] == ["head"]
@@ -132,10 +133,11 @@ class TestSummary:
         assert head["primary_metric"] == "replies"
         assert head["metrics"]["violations"] == 1
         assert head["metrics"]["replies"] == 14
+        assert head["metrics"]["ok"] is False     # the cell gate failed
         assert "results" not in head   # per-cell bulk stays out
         # append-only: a second write adds an entry, rewrites nothing
-        write_chaos_bench(path, summary, label="next",
-                          config={"seeds": 2, "scenarios": ["single"]})
+        append_entry(path, cell_entry("chaos.storm", summary,
+                                      config=config, label="next"))
         second = json.loads(open(path, encoding="utf-8").read())
         assert [e["label"] for e in second["entries"]] == \
             ["head", "next"]

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro.bench.registry import lookup
 from repro.cli import build_parser, main
 
 
@@ -28,6 +31,32 @@ class TestExecution:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         assert "fig5" in capsys.readouterr().out
+
+    def test_every_listed_name_resolves(self, capsys):
+        assert main(["list"]) == 0
+        commands, cells = [line.split(": ", 1)[1].split() for line
+                           in capsys.readouterr().out.splitlines()]
+        assert {"fig5", "bench", "campaign", "list"} <= set(commands)
+        assert "bench-kernel" not in commands
+        for command in commands:
+            with pytest.raises(SystemExit) as exit_:
+                build_parser().parse_args([command, "--help"])
+            assert exit_.value.code == 0
+        assert {"fig5_file_download", "kernel.scale<N>"} <= set(cells)
+        for name in cells:
+            assert callable(lookup(name)[0].resolve())
+
+    def test_workloads_json(self, capsys):
+        assert main(["workloads", "--json"]) == 0
+        names = [spec["name"]
+                 for spec in json.loads(capsys.readouterr().out)]
+        assert "echo" in names and "storage" in names
+
+    def test_storage_json(self, capsys):
+        assert main(["storage", "--json", "--once", "--duration", "4.5",
+                     "--crash-at", "1.0"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["ok"] is True and result["repairs_completed"] >= 1
 
     def test_fig1_prints_table(self, capsys):
         assert main(["fig1"]) == 0

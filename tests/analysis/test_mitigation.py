@@ -7,22 +7,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import RUNNERS
 from repro.analysis.mitigation import (
     ATTACK_NAMES,
     POLICY_NAMES,
     frontier_gate,
     mitigation_frontier,
     run_mitigation_cell,
-    write_mitigation_bench,
 )
+from repro.bench import append_entry, cell_entry
+from repro.campaign import resolve_runner
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_runners_registered():
-    assert RUNNERS["mitigation_cell"] is run_mitigation_cell
-    assert RUNNERS["mitigation_frontier"] is mitigation_frontier
+    assert resolve_runner("mitigation_cell") is run_mitigation_cell
+    assert resolve_runner("mitigation_frontier") is mitigation_frontier
 
 
 def test_name_constants_cover_the_shipped_family():
@@ -94,7 +94,8 @@ def test_write_bench_appends_trajectory_entries(tmp_path):
                "ok": True, "wall_seconds": 1.0,
                "results": [{"should": "be stripped"}]}
     path = tmp_path / "BENCH_mitigation.json"
-    write_mitigation_bench(str(path), summary, label="first")
+    append_entry(str(path), cell_entry("mitigation.frontier", summary,
+                                       label="first"))
     first = json.loads(path.read_text())
     assert first["schema"] == "repro.bench.trajectory/1"
     assert [e["label"] for e in first["entries"]] == ["first"]
@@ -103,8 +104,10 @@ def test_write_bench_appends_trajectory_entries(tmp_path):
     assert head["primary_metric"] == "margin_bits"
     assert head["metrics"]["margin_bits"] == pytest.approx(0.4)
     assert head["metrics"]["gate_ok"] is True
+    assert head["metrics"]["ok"] is True
     assert "results" not in head
-    write_mitigation_bench(str(path), summary, label="second")
+    append_entry(str(path), cell_entry("mitigation.frontier", summary,
+                                       label="second"))
     second = json.loads(path.read_text())
     assert [e["label"] for e in second["entries"]] == \
         ["first", "second"]

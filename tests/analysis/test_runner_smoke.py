@@ -1,19 +1,21 @@
-"""Smoke test (satellite): every registered runner executes with
+"""Smoke test (satellite): every cell in the table executes with
 minimal durations and returns non-empty, finite rows.
 
 These are the cheapest parameters each runner accepts; the point is
-that the campaign layer can call any registry entry by name and get
-aggregatable output back, not that the numbers match the paper.
+that the campaign layer can call any campaign cell by name, and
+``repro bench run`` any benchmark cell, and get aggregatable output
+back, not that the numbers match the paper.
 """
 
 import math
 
 import pytest
 
-from repro.analysis.experiments import RUNNERS
+from repro.bench.registry import CELLS, run_benchmark
 
-# Minimal-cost kwargs per runner. Every registry entry must appear
-# here so new runners cannot be added without a smoke entry.
+# Minimal-cost kwargs per cell (bench overrides for benchmark cells).
+# Every table entry must appear here so new cells cannot be added
+# without a smoke entry.
 MINIMAL_KWARGS = {
     "fig1_median_cdfs": {},
     "fig1_observation_curves": {"confidences": (0.9,)},
@@ -43,6 +45,12 @@ MINIMAL_KWARGS = {
                             "duration": 2.0, "seeds": [3], "jobs": 1},
     "storage_repair": {"duration": 4.5, "crash_at": 1.0,
                        "check_determinism": False},
+    "kernel.scale<N>": {"duration": 0.5, "repeats": 1},
+    "chaos.storm": {"seeds": 1, "duration": 2.2, "rate": 1.0,
+                    "check_determinism": False},
+    "mitigation.frontier": {"policies": "none", "duration": 2.0},
+    "storage.repair": {"duration": 4.5, "crash_at": 1.0,
+                       "check_determinism": False},
 }
 
 
@@ -63,12 +71,16 @@ def _assert_finite(value, path="result"):
 
 
 def test_every_runner_has_a_smoke_entry():
-    assert set(MINIMAL_KWARGS) == set(RUNNERS)
+    assert set(MINIMAL_KWARGS) == set(CELLS)
 
 
-@pytest.mark.parametrize("name", sorted(RUNNERS))
+@pytest.mark.parametrize("name", sorted(CELLS))
 def test_runner_returns_nonempty_finite_rows(name):
-    result = RUNNERS[name](**MINIMAL_KWARGS[name])
+    if CELLS[name].metrics:
+        result = run_benchmark(name.replace("<N>", "1"),
+                               overrides=MINIMAL_KWARGS[name])
+    else:
+        result = CELLS[name].resolve()(**MINIMAL_KWARGS[name])
     if name in ("chaos_cell", "mitigation_frontier", "storage_repair"):
         # list fields are empty precisely when the cell is healthy
         result = {key: value for key, value in result.items()

@@ -1,6 +1,6 @@
 """Tests for the fleet-scale sweep runner."""
 
-from repro.analysis.experiments import RUNNERS
+from repro.campaign import resolve_runner
 from repro.analysis.scale import (
     build_scale_spec,
     run_scale_cell,
@@ -54,4 +54,4 @@ class TestScaleSweep:
         assert all(row["events_per_second"] > 0 for row in rows)
 
     def test_registered_as_campaign_runner(self):
-        assert RUNNERS["scale_sweep"] is scale_sweep
+        assert resolve_runner("scale_sweep") is scale_sweep

@@ -4,11 +4,8 @@ import json
 
 import pytest
 
-from repro.analysis.storage import (
-    run_storage_repair_cell,
-    storage_entry,
-    write_storage_bench,
-)
+from repro.analysis.storage import run_storage_repair_cell
+from repro.bench import append_entry, cell_entry
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +48,8 @@ class TestRepairCell:
 
 class TestBenchPlumbing:
     def test_entry_shape(self, cell):
-        entry = storage_entry(cell, label="t",
-                              config={"k": cell["k"], "n": cell["n"]})
+        entry = cell_entry("storage.repair", cell, label="t",
+                           config={"k": cell["k"], "n": cell["n"]})
         assert entry["benchmark"] == "storage.repair"
         assert entry["primary_metric"] == "repaired_bytes_per_sim_s"
         assert entry["label"] == "t"
@@ -62,19 +59,19 @@ class TestBenchPlumbing:
 
     def test_write_appends_trajectory(self, cell, tmp_path):
         path = str(tmp_path / "BENCH_storage.json")
-        write_storage_bench(path, cell, label="a")
-        write_storage_bench(path, cell, label="b")
+        append_entry(path, cell_entry("storage.repair", cell, label="a"))
+        append_entry(path, cell_entry("storage.repair", cell, label="b"))
         with open(path) as handle:
             data = json.load(handle)
         assert [entry["label"] for entry in data["entries"]] == ["a", "b"]
 
     def test_registered_as_campaign_runner(self):
-        from repro.analysis.experiments import RUNNERS
+        from repro.campaign import resolve_runner
 
-        assert RUNNERS["storage_repair"] is run_storage_repair_cell
+        assert resolve_runner("storage_repair") is run_storage_repair_cell
 
     def test_registered_as_benchmark(self):
-        from repro.bench.registry import BENCHMARKS, default_path
+        from repro.bench.registry import benchmark_names, default_path
 
-        assert "storage.repair" in BENCHMARKS
+        assert "storage.repair" in benchmark_names()
         assert default_path("storage.repair") == "BENCH_storage.json"

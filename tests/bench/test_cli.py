@@ -1,16 +1,27 @@
-"""The benchmark registry and the ``repro bench`` CLI round trip."""
+"""The cell table and the ``repro bench`` CLI round trip."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench import (UnknownBenchmark, benchmark_names, default_path,
-                         empty_trajectory, make_entry, run_benchmark,
-                         write_trajectory)
+from repro.bench import (CELLS, Cell, UnknownBenchmark, bench_plan,
+                         benchmark_names, compare_entry, default_path,
+                         empty_trajectory, load_trajectory, make_entry,
+                         run_benchmark, write_trajectory)
 from repro.cli import main
 
 RUN_SMALL = ["--set", "duration=0.2", "--set", "seed=3",
              "--set", "repeats=1"]
+
+
+def broken_cell(seed=1):
+    """A benchmark runner whose own gate fails."""
+    return {"ok": False, "value": float(seed)}
+
+
+def broken_metrics(result):
+    return {"value": result["value"]}
 
 
 class TestRegistry:
@@ -42,6 +53,43 @@ class TestRegistry:
         assert entry["metrics"]["events_per_cpu_second"] > 0
         assert len(entry["egress_signature"]) == 64
         assert "profile" not in entry
+
+    def test_campaign_runner_is_not_a_benchmark(self):
+        with pytest.raises(UnknownBenchmark, match="campaign runner"):
+            run_benchmark("fig1_median_cdfs")
+        with pytest.raises(UnknownBenchmark, match="<N>"):
+            run_benchmark("kernel.scale<N>")
+
+    def test_kernel_config_matches_committed_entries(self):
+        _, kwargs, config = bench_plan("kernel.scale32")
+        assert config == {"tenants": 32, "duration": 2.0, "seed": 1,
+                          "request_rate": 30.0}
+        assert kwargs["repeats"] == 2
+        path = Path(__file__).resolve().parents[2] / "BENCH_kernel.json"
+        committed = load_trajectory(str(path))["entries"]
+        assert all(e["config"] == config for e in committed)
+
+    def test_seed_base_is_part_of_the_config(self):
+        _, kwargs, config = bench_plan("chaos.storm")
+        _, _, other = bench_plan("chaos.storm", {"seed_base": 102})
+        assert config["seed_base"] == 101 and other["seed_base"] == 102
+        assert "jobs" not in config
+        assert "seed_base" not in kwargs and len(kwargs["seeds"]) == 2
+
+        def made(cfg):
+            return make_entry("chaos.storm", cfg, {"replies": 10},
+                              primary_metric="replies")
+        history = empty_trajectory()
+        history["entries"].append(made(config))
+        assert compare_entry(made(other), history)["comparable"] == 0
+        assert compare_entry(made(config), history)["comparable"] == 1
+
+    def test_mitigation_config_records_the_workload(self):
+        _, kwargs, config = bench_plan("mitigation.frontier",
+                                       {"policies": "none,stopwatch"})
+        assert config["policies"] == ["none", "stopwatch"]
+        assert kwargs["policies"] == ("none", "stopwatch")
+        assert {"seed_base", "bins", "workload"} <= set(config)
 
     def test_profiled_run_attaches_summary(self):
         entry = run_benchmark(
@@ -117,6 +165,31 @@ class TestBenchRunCommand:
             run_cli("bench", "run", "--benchmark", "kernel.scale2",
                     "--set", "duration", "--output",
                     str(tmp_path / "b.json"))
+
+    def test_failed_cell_gate_exits_nonzero(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setitem(CELLS, "demo.broken", Cell(
+            f"{__name__}:broken_cell", params={"seed": 1},
+            metrics=f"{__name__}:broken_metrics", primary="value"))
+        path = tmp_path / "BENCH_demo.json"
+        with pytest.raises(SystemExit) as err:
+            run_cli("bench", "run", "--benchmark", "demo.broken",
+                    "--output", str(path))
+        assert err.value.code == 1
+        assert "cell gate: FAIL" in capsys.readouterr().out
+        entry = json.loads(path.read_text())["entries"][0]
+        assert entry["metrics"]["ok"] is False
+        assert entry["config"] == {"seed": 1}
+
+    def test_tolerance_outside_unit_interval_rejected(self, tmp_path,
+                                                      capsys):
+        for command in ("run", "compare"):
+            for value in ("2.0", "-0.5"):
+                with pytest.raises(SystemExit) as err:
+                    run_cli("bench", command, "--benchmark",
+                            "kernel.scale2", "--tolerance", value)
+                assert err.value.code == 2
+        assert "tolerance must be in [0, 1)" in capsys.readouterr().err
 
 
 def kernel_entry(eps, label, signature="a" * 64):
@@ -196,27 +269,6 @@ class TestBenchHistoryAndMigrate:
         out = capsys.readouterr().out
         assert "2 entries" in out
         assert "good" in out and "head" in out
-
-    def test_migrate_rewrites_legacy_snapshot(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_kernel.json"
-        path.write_text(json.dumps({
-            "benchmark": "kernel.scale32", "label": "old",
-            "events_per_cpu_second": 57_988.0,
-            "trajectory": []}))
-        run_cli("bench", "migrate", str(path))
-        assert "migrated legacy snapshot" in capsys.readouterr().out
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro.bench.trajectory/1"
-        run_cli("bench", "migrate", str(path))
-        assert "already migrated" in capsys.readouterr().out
-
-    def test_migrate_fails_on_unrecognised_doc(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_mystery.json"
-        path.write_text(json.dumps({"mystery": True}))
-        with pytest.raises(SystemExit) as err:
-            run_cli("bench", "migrate", str(path))
-        assert err.value.code == 1
-        assert "FAIL" in capsys.readouterr().out
 
     def test_list_names_benchmarks(self, capsys):
         run_cli("bench", "list")

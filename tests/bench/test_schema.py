@@ -1,4 +1,4 @@
-"""The bench trajectory schema: entries, migration, IO, the gate."""
+"""The bench trajectory schema: entries, legacy refusal, IO, the gate."""
 
 import json
 
@@ -10,10 +10,19 @@ from repro.bench.schema import (DEFAULT_TOLERANCE, ENTRY_SCHEMA,
                                 comparable_entries, compare_entry,
                                 empty_trajectory, history_rows,
                                 load_trajectory, make_entry,
-                                migrate_snapshot, validate_entry,
-                                write_trajectory)
+                                validate_entry, write_trajectory)
 
 CONFIG = {"tenants": 32, "duration": 2.0}
+
+#: a pre-schema single-snapshot BENCH document
+LEGACY_KERNEL = {
+    "benchmark": "kernel.scale32", "label": "calendar-queue",
+    "config": {"tenants": 32},
+    "events_per_cpu_second": 115_118.9, "events_fired": 230_000,
+    "egress_signature": "856f" + "0" * 60,
+    "trajectory": [{"label": "three-tier",
+                    "events_per_cpu_second": 57_988.0}],
+}
 
 
 def entry(eps=100_000.0, config=CONFIG, signature=None, label="head",
@@ -49,61 +58,14 @@ class TestEntry:
 
 
 class TestMigration:
-    def legacy_kernel(self):
-        return {
-            "benchmark": "kernel.scale32", "label": "calendar-queue",
-            "config": {"tenants": 32},
-            "events_per_cpu_second": 115_118.9, "events_fired": 230_000,
-            "repeats": 2, "egress_signature": "856f" + "0" * 60,
-            "deterministic": True,
-            "trajectory": [{"label": "three-tier",
-                            "events_per_cpu_second": 57_988.0}],
-        }
+    """No migrator remains: anything but a trajectory is refused."""
 
-    def test_kernel_snapshot_migrates_oldest_first(self):
-        trajectory = migrate_snapshot(self.legacy_kernel())
-        assert trajectory["schema"] == TRAJECTORY_SCHEMA
-        labels = [e["label"] for e in trajectory["entries"]]
-        assert labels == ["three-tier", "calendar-queue"]
-        head = trajectory["entries"][-1]
-        assert head["metrics"]["events_per_cpu_second"] == 115_118.9
-        assert "repeats" not in head["metrics"]
-        assert head["egress_signature"].startswith("856f")
-        assert head["recorded"] == "migrated"
-        assert all(validate_entry(e) == []
-                   for e in trajectory["entries"])
-
-    def test_chaos_snapshot_migrates(self):
-        doc = {"cells": 21, "ok": True, "violations": [],
-               "evacuations": 9, "recovery_p50": 0.61,
-               "label": "head", "trajectory": []}
-        trajectory = migrate_snapshot(doc)
-        head = trajectory["entries"][-1]
-        assert head["benchmark"] == "chaos.campaign"
-        assert head["metrics"]["evacuations"] == 9
-        assert head["metrics"]["violations"] == 0
-
-    def test_mitigation_snapshot_migrates(self):
-        doc = {"cells": 12, "ok": True, "failures": [],
-               "gate": {"checked": True, "ok": True}, "rows": [],
-               "wall_seconds": 30.0}
-        trajectory = migrate_snapshot(doc)
-        head = trajectory["entries"][-1]
-        assert head["benchmark"] == "mitigation.frontier"
-        assert head["metrics"]["failures"] == 0
-
-    def test_unrecognised_snapshot_is_an_error(self):
-        with pytest.raises(BenchSchemaError):
-            migrate_snapshot({"mystery": True})
-
-    def test_migration_is_idempotent(self):
-        once = migrate_snapshot(self.legacy_kernel())
-        assert migrate_snapshot(once) is once
-
-    def test_single_entry_doc_wraps(self):
-        trajectory = migrate_snapshot(entry())
-        assert trajectory["schema"] == TRAJECTORY_SCHEMA
-        assert len(trajectory["entries"]) == 1
+    def test_unrecognised_snapshot_is_an_error(self, tmp_path):
+        path = tmp_path / "BENCH_old.json"
+        for doc in (LEGACY_KERNEL, {"mystery": True}, entry(), [1, 2]):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(BenchSchemaError, match="BENCH_old.json"):
+                load_trajectory(str(path))
 
     def test_committed_artifact_is_loadable(self):
         # the repo's own BENCH_kernel.json must always load
@@ -125,15 +87,12 @@ class TestIO:
         assert raw.endswith("\n")
         json.loads(raw)
 
-    def test_append_to_legacy_file_migrates_in_place(self, tmp_path):
+    def test_append_to_legacy_file_is_refused(self, tmp_path):
         path = tmp_path / "BENCH_kernel.json"
-        path.write_text(json.dumps(
-            TestMigration().legacy_kernel()))
-        append_entry(str(path), entry(label="new"))
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == TRAJECTORY_SCHEMA
-        assert [e["label"] for e in doc["entries"]] == \
-            ["three-tier", "calendar-queue", "new"]
+        path.write_text(json.dumps(LEGACY_KERNEL))
+        with pytest.raises(BenchSchemaError, match="BENCH_kernel.json"):
+            append_entry(str(path), entry(label="new"))
+        assert json.loads(path.read_text()) == LEGACY_KERNEL
 
     def test_append_rejects_invalid_entry(self, tmp_path):
         with pytest.raises(BenchSchemaError):
@@ -213,6 +172,15 @@ class TestGate:
 
     def test_default_tolerance_is_twenty_percent(self):
         assert DEFAULT_TOLERANCE == 0.20
+
+    def test_tolerance_outside_unit_interval_rejected(self):
+        # 2.0 would pass a 99 % drop; -0.5 would fail an unchanged run
+        history = self.trajectory(entry(label="base"))
+        for tolerance in (2.0, 1.0, -0.5):
+            with pytest.raises(BenchSchemaError, match="tolerance"):
+                compare_entry(entry(eps=1_000.0), history,
+                              tolerance=tolerance)
+        assert compare_entry(entry(), history, tolerance=0.0)["ok"]
 
 
 class TestHistoryRows:

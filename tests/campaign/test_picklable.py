@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.experiments import RUNNERS
+from repro.bench.registry import CELLS
 from repro.campaign import (CampaignSpec, SweepSpec, TaskCell,
                             execute_cell, resolve_runner, run_campaign)
 
@@ -26,20 +26,20 @@ POOL_SAFE = {
 
 
 class TestPayloadPicklability:
-    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize("name", sorted(CELLS))
     def test_payload_round_trips(self, name):
         payload = {"runner": name, "params": {}, "seed": 0,
                    "timeout": 30.0}
         blob = pickle.dumps(payload)
         assert pickle.loads(blob) == payload
 
-    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize("name", sorted(CELLS))
     def test_name_resolves_to_a_callable(self, name):
         fn = resolve_runner(name)
         assert callable(fn)
-        assert fn is RUNNERS[name]
+        assert fn is CELLS[name].resolve()
 
-    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    @pytest.mark.parametrize("name", sorted(CELLS))
     def test_cell_dict_round_trips_through_json_manifest(self, name):
         cell = TaskCell(name, {}, seed=0)
         import json

@@ -142,12 +142,12 @@ class TestKernelIntegration:
         # puts "kernel" in the table too
         assert "other" in stats["profile_subsystems"]
         assert sim.profiler.events == 50
-        assert sum(row[0] for row in sim.profile_stats.values()) == 50
+        assert sum(row["calls"] for row in stats["profile"].values()) \
+            == 50
 
     def test_profile_off_leaves_no_profiler(self):
         sim, _ = self.run_cell(False)
         assert sim.profiler is None
-        assert sim.profile_stats == {}
         assert "profile" not in sim.stats()
 
 
