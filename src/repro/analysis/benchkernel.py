@@ -6,11 +6,14 @@ workload: ~100k events per simulated second of VM quanta, replica
 multicast, pacing and egress mediation) several times in one process
 and reports
 
-- **events per CPU second** -- the primary throughput metric, measured
-  with ``time.process_time`` so a loaded benchmark host does not turn
-  scheduler noise into a regression;
-- events per wall second (the historical metric, kept for continuity
-  with older trajectory entries);
+- **simulated seconds per CPU second** -- the primary throughput
+  metric, measured with ``time.process_time`` so a loaded benchmark
+  host does not turn scheduler noise into a regression; unlike an
+  event rate it does not move when a change fires fewer events for the
+  same simulation;
+- events per CPU second and per wall second (the earlier primary and
+  historical metrics, kept for continuity with older trajectory
+  entries);
 - calendar-queue high-water marks (total entries, largest bucket sort,
   far-heap peak) and mediation p95, and
 - the egress signature of every repeat: all repeats must be
@@ -33,9 +36,10 @@ import time
 from typing import Dict, List
 
 #: the result keys that become trajectory-entry metrics
-_METRIC_KEYS = ("events_per_cpu_second", "events_per_second",
-                "events_fired", "cpu_seconds", "heap_high_water",
-                "bucket_high_water", "far_high_water", "mediation_p95")
+_METRIC_KEYS = ("sim_seconds_per_cpu_second", "events_per_cpu_second",
+                "events_per_second", "events_fired", "cpu_seconds",
+                "heap_high_water", "bucket_high_water", "far_high_water",
+                "mediation_p95")
 
 
 class BenchError(RuntimeError):
@@ -70,6 +74,8 @@ def run_kernel_bench(tenants: int = 32,
             "events_fired": row["events_fired"],
             "cpu_seconds": round(cpu, 4),
             "wall_seconds": round(row["wall_seconds"], 4),
+            "sim_seconds_per_cpu_second": round(duration / cpu, 4)
+            if cpu > 0 else 0.0,
             "events_per_cpu_second": round(row["events_fired"] / cpu, 1)
             if cpu > 0 else 0.0,
             "events_per_second": round(row["events_per_second"], 1),
@@ -86,13 +92,14 @@ def run_kernel_bench(tenants: int = 32,
             f"egress signatures diverged across {repeats} same-seed "
             f"repeats in one process: {sorted(signatures)}")
 
-    best = max(runs, key=lambda run: run["events_per_cpu_second"])
+    best = max(runs, key=lambda run: run["sim_seconds_per_cpu_second"])
     report: Dict[str, object] = {
         "benchmark": f"kernel.scale{tenants}",
         # repeats is a measurement parameter, not part of the workload
         "config": {"tenants": tenants, "duration": duration, "seed": seed,
                    "request_rate": request_rate},
         "repeats": repeats,
+        "sim_seconds_per_cpu_second": best["sim_seconds_per_cpu_second"],
         "events_per_cpu_second": best["events_per_cpu_second"],
         "events_per_second": best["events_per_second"],
         "events_fired": best["events_fired"],

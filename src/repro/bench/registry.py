@@ -81,7 +81,7 @@ CELLS: Dict[str, Cell] = {
         params={"duration": 2.0, "seed": 1, "request_rate": 30.0,
                 "repeats": 2},
         metrics="repro.analysis.benchkernel:kernel_metrics",
-        primary="events_per_cpu_second", gate="deterministic",
+        primary="sim_seconds_per_cpu_second", gate="deterministic",
         scaled="tenants"),
     "chaos.storm": Cell(
         "repro.analysis.chaos:run_chaos_campaign",

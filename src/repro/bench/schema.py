@@ -7,7 +7,7 @@ Every benchmark run appends one **entry** ::
      "label": "head", "recorded": "<iso8601>",
      "config": {...},                  # what was run (gates match on it)
      "metrics": {...},                 # flat name -> number dict
-     "primary_metric": "events_per_cpu_second",
+     "primary_metric": "sim_seconds_per_cpu_second",
      "higher_is_better": true,
      "egress_signature": "856f...",    # optional determinism fingerprint
      "profile": {...}}                 # optional repro.prof summary

@@ -1,21 +1,24 @@
 """Discrete-event simulation kernel.
 
 This subpackage is the substrate on which the whole StopWatch reproduction
-runs: a small but complete discrete-event simulator with generator-based
-processes, events and conditions, FIFO channels, capacity resources, named
-deterministic random streams and a tracing facility.
+runs: a callback-driven discrete-event simulator (calendar queue, periodic
+timers, timer wheels), one-shot events, named deterministic random streams
+and a tracing facility.  Every simulation component schedules plain
+callbacks; the guest engine (:mod:`repro.vmm.hypervisor`) resumes its own
+generator straight from the kernel.
 
 The public surface mirrors what the rest of the library needs:
 
 - :class:`Simulator` -- the event loop and clock.
-- :class:`Process` -- a running generator-based activity.
-- :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` --
-  waitables that processes can ``yield``.
-- :class:`Channel`, :class:`Store` -- producer/consumer queues.
-- :class:`Resource` -- a capacity-limited resource with a FIFO queue.
+- :class:`Event` -- a one-shot event; waiters ``add_callback``.
 - :class:`RngRegistry` -- named, seeded random streams.
 - :class:`Trace` -- an in-memory event recorder used by the experiment
   harnesses.
+
+A generator-process library (:class:`Process`, :class:`Timeout`,
+:class:`Channel`, :class:`Store`, :class:`Resource`) remains for
+callers that want coroutine-style activities; no simulation component
+uses it.
 """
 
 from repro.sim.errors import (
@@ -24,7 +27,7 @@ from repro.sim.errors import (
     Interrupt,
     ChannelClosed,
 )
-from repro.sim.events import Event, Timeout, AnyOf, AllOf, Condition
+from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Simulator, ScheduledCall
 from repro.sim.process import Process
 from repro.sim.channel import Channel, Store
@@ -39,9 +42,6 @@ __all__ = [
     "Process",
     "Event",
     "Timeout",
-    "AnyOf",
-    "AllOf",
-    "Condition",
     "Channel",
     "Store",
     "Resource",

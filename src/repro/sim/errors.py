@@ -6,7 +6,8 @@ class SimulationError(Exception):
 
 
 class ProcessFailed(SimulationError):
-    """A joined process terminated with an exception.
+    """A simulated activity (a joined process, or a replica's guest
+    engine) terminated with an exception.
 
     The original exception is available as ``__cause__``.
     """

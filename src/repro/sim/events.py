@@ -1,6 +1,7 @@
-"""Waitables: events, timeouts and composite conditions.
+"""Waitables: one-shot events and timeouts.
 
-A *waitable* is anything a process may ``yield``.  The contract is small:
+A *waitable* is anything a process may ``yield`` or a callback may
+``add_callback`` to.  The contract is small:
 
 - ``add_callback(fn)`` -- call ``fn(waitable)`` once triggered (immediately
   if already triggered);
@@ -10,7 +11,7 @@ A *waitable* is anything a process may ``yield``.  The contract is small:
   ``value`` is the exception to raise in the waiter.
 """
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.sim.errors import SimulationError
 
@@ -74,90 +75,16 @@ class Timeout(Event):
     __slots__ = ("delay", "_call")
 
     def __init__(self, sim, delay: float, value=None):
-        # inlined Event.__init__: Timeouts are created once per engine
-        # quantum, so the super() dispatch is measurable
-        self.sim = sim
-        self.triggered = False
-        self.ok = True
-        self.value = None
-        self._callbacks = []
+        super().__init__(sim)
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
         self.delay = delay
         self._call = sim.call_at(sim.now + delay, self._fire, value)
 
     def _fire(self, value) -> None:
-        # inlined trigger(): fires once per engine quantum, and the
-        # triggered guard above already covers the double-trigger error
         if not self.triggered:
-            self.triggered = True
-            self.value = value
-            callbacks = self._callbacks
-            if callbacks:
-                self._callbacks = []
-                sim = self.sim
-                for fn in callbacks:
-                    sim.call_soon(fn, self)
+            self.trigger(value)
 
     def cancel(self) -> None:
         """Cancel the pending timeout (no effect once triggered)."""
         self._call.cancel()
-
-
-class Condition(Event):
-    """Base for composite waitables over several child waitables."""
-
-    __slots__ = ("children",)
-
-    def __init__(self, sim, children):
-        super().__init__(sim)
-        self.children = list(children)
-        if not self.children:
-            raise SimulationError("condition over zero waitables")
-        for child in self.children:
-            child.add_callback(self._child_fired)
-
-    def _child_fired(self, child) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(Condition):
-    """Triggers when the first child triggers.
-
-    ``value`` is a dict mapping every already-triggered child to its value,
-    so a racer can tell which waitable(s) won.
-    """
-
-    __slots__ = ()
-
-    def _child_fired(self, child) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            self.fail(child.value)
-            return
-        fired = {c: c.value for c in self.children if c.triggered and c.ok}
-        self.trigger(fired)
-
-
-class AllOf(Condition):
-    """Triggers once every child has triggered.
-
-    ``value`` is a dict mapping each child to its value.
-    """
-
-    __slots__ = ()
-
-    def _child_fired(self, child) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            self.fail(child.value)
-            return
-        if all(c.triggered for c in self.children):
-            self.trigger({c: c.value for c in self.children})
-
-
-def first_of(sim, *waitables) -> AnyOf:
-    """Convenience wrapper: ``yield first_of(sim, a, b, c)``."""
-    return AnyOf(sim, waitables)

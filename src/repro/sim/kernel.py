@@ -35,6 +35,7 @@ from bisect import insort
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.errors import SimulationError
+from repro.sim.events import Event, Timeout
 
 #: entry state machine: scheduled -> fired | cancelled
 _PENDING, _FIRED, _CANCELLED = 0, 1, 2
@@ -224,7 +225,7 @@ class Simulator:
     Usage::
 
         sim = Simulator(seed=7)
-        sim.process(my_generator_fn(sim))
+        sim.call_at(1.0, my_callback, arg)
         sim.run(until=10.0)
 
     The ``seed`` feeds the simulator's :class:`~repro.sim.rng.RngRegistry`,
@@ -249,7 +250,6 @@ class Simulator:
                  span_slots: int = DEFAULT_SPAN_SLOTS):
         from repro.sim.rng import RngRegistry
         from repro.sim.monitor import MetricSet, Trace
-        from repro.sim.events import Event, Timeout
         from repro.obs.flows import FlowTracker
 
         if bucket_width <= 0:
@@ -304,10 +304,6 @@ class Simulator:
             self.profiler = (profile if isinstance(profile,
                                                    SubsystemProfiler)
                              else SubsystemProfiler())
-        # cached classes: the hot paths must not pay import-machinery
-        # lookups per call (Timeout is created ~1e5 times per sim second)
-        self._event_cls = Event
-        self._timeout_cls = Timeout
 
     # ------------------------------------------------------------------
     # scheduling primitives
@@ -404,11 +400,11 @@ class Simulator:
 
     def timeout(self, delay: float, value=None):
         """Return an :class:`~repro.sim.events.Timeout` waitable."""
-        return self._timeout_cls(self, delay, value)
+        return Timeout(self, delay, value)
 
     def event(self):
         """Return a fresh, untriggered :class:`~repro.sim.events.Event`."""
-        return self._event_cls(self)
+        return Event(self)
 
     # ------------------------------------------------------------------
     # the calendar

@@ -30,7 +30,10 @@ from repro.core.virtual_time import EpochSample, VirtualClock
 from repro.machine.guest import GuestOS
 from repro.mitigation import MitigationPolicy, default_policy
 from repro.net.packet import Packet, ReplicaEnvelope
-from repro.sim.errors import Interrupt
+from repro.sim.errors import ProcessFailed
+
+#: resume value that cuts the engine's current quantum short
+_INTERRUPT = object()
 
 
 class _NetInjection:
@@ -102,7 +105,10 @@ class ReplicaVMM:
         # engine state
         self.running = False
         self.failed = False
-        self._engine_proc = None
+        self._engine_gen = None
+        self._engine_proc = None    # Event triggered when the engine ends
+        self._quantum = None        # the sleeping quantum's kernel entry
+        self._parked_on = None      # the barrier Event the engine waits on
         self._sleeping = False
         self._epoch_start_real = 0.0
         self._spb = 1.0 / config.base_branch_rate
@@ -134,11 +140,13 @@ class ReplicaVMM:
     def start(self) -> None:
         if self.running:
             return
+        self._halt()    # stopped mid-quantum and not yet woken
         self.running = True
         self._epoch_start_real = self.sim.now
-        self._engine_proc = self.sim.process(
-            self._engine(),
-            name=f"vmm.{self.vm_name}.r{self.replica_id}")
+        self._engine_gen = self._engine()
+        self._engine_proc = self.sim.event()
+        self._parked_on = None
+        self.sim.call_soon(self._step)
 
     def stop(self) -> None:
         self.running = False
@@ -160,10 +168,16 @@ class ReplicaVMM:
         self.sim.trace.record(self.sim.now, "fault.vmm_down",
                               vm=self.vm_name, replica=self.replica_id,
                               instr=self.instr)
-        if self._sleeping and self._engine_proc is not None \
-                and self._engine_proc.alive:
+        self._halt()
+
+    def _halt(self) -> None:
+        """End a sleeping engine where it is, with no final VM exit and
+        no resume left queued for a restarted engine to receive."""
+        if self._sleeping:
             self._sleeping = False
-            self._engine_proc.interrupt("crash")
+            self._quantum.cancel()
+            self._engine_gen.close()
+            self._engine_proc.trigger()
 
     # ------------------------------------------------------------------
     # guest-facing API (called synchronously from guest events)
@@ -292,11 +306,34 @@ class ReplicaVMM:
     # the execution engine
     # ------------------------------------------------------------------
     def _poke(self) -> None:
-        """Wake the engine mid-quantum (baseline immediate injection)."""
-        if self._sleeping and self._engine_proc is not None \
-                and self._engine_proc.alive:
+        """Cut the sleeping quantum short: the engine resumes now and
+        takes a VM exit mid-quantum (baseline immediate injection)."""
+        if self._sleeping:
             self._sleeping = False
-            self._engine_proc.interrupt("inject")
+            self._quantum.cancel()
+            self.sim.call_soon(self._step, _INTERRUPT)
+
+    def _step(self, value=None) -> None:
+        """Resume the engine generator: one kernel entry per quantum
+        end, poke or barrier wake."""
+        try:
+            self._engine_gen.send(value)
+        except StopIteration:
+            self._engine_proc.trigger()
+        except Exception as error:  # noqa: BLE001 - fail only this replica
+            self._engine_proc.fail(ProcessFailed(self, error))
+
+    def _park(self, event) -> None:
+        """Hold the engine at a barrier until ``event`` triggers."""
+        self._parked_on = event
+        event.add_callback(self._unpark)
+
+    def _unpark(self, event) -> None:
+        # an engine restarted after a crash must not be resumed by the
+        # barrier its predecessor was parked at
+        if event is self._parked_on:
+            self._parked_on = None
+            self._step(event)
 
     def _engine(self):
         config = self.config
@@ -311,7 +348,8 @@ class ReplicaVMM:
         next_event_instr = guest.next_event_instr
         run_due_events = guest.run_due_events
         slowdown_factor = self.host.slowdown_factor
-        timeout = sim.timeout
+        call_at = sim.call_at
+        step = self._step
         spb = self._spb
         while self.running:
             instr = self.instr
@@ -334,11 +372,10 @@ class ReplicaVMM:
                 duration = branches * spb * slowdown_factor()
                 started, base_instr = sim.now, instr
                 self._sleeping = True
-                try:
-                    yield timeout(duration)
-                except Interrupt:
-                    if self.failed or not self.running:
-                        return  # crashed mid-quantum: no final VM exit
+                self._quantum = call_at(started + duration, step)
+                if (yield) is _INTERRUPT:
+                    if not self.running:
+                        return  # stopped mid-quantum: no final VM exit
                     # baseline-mode immediate injection: exit right here
                     elapsed = sim.now - started
                     fraction = 1.0
@@ -503,7 +540,8 @@ class ReplicaVMM:
             if stalled_at is None:
                 stalled_at = self.sim.now
                 self.stats["pacing_stalls"] += 1
-            yield self.coordination.wait_progress()
+            self._park(self.coordination.wait_progress())
+            yield
         if stalled_at is not None:
             self.stats["pacing_stall_time"] += self.sim.now - stalled_at
 
@@ -517,7 +555,8 @@ class ReplicaVMM:
         else:
             self.coordination.broadcast_epoch_sample(k, sample)
             while self.running and not self.coordination.epoch_ready(k):
-                yield self.coordination.wait_epoch(k)
+                self._park(self.coordination.wait_epoch(k))
+                yield
             if not self.running:
                 return
             samples = self.coordination.epoch_samples(k)

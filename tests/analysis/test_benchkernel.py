@@ -24,12 +24,12 @@ def small_bench(**kwargs):
     return run_kernel_bench(**params)
 
 
-def baseline(tmp_path, eps, signature=None, config=CONFIG):
+def baseline(tmp_path, rate, signature=None, config=CONFIG):
     """A one-entry kernel.scale2 trajectory file; returns its path."""
     doc = empty_trajectory()
     doc["entries"].append(make_entry(
-        "kernel.scale2", dict(config), {"events_per_cpu_second": eps},
-        primary_metric="events_per_cpu_second",
+        "kernel.scale2", dict(config), {"sim_seconds_per_cpu_second": rate},
+        primary_metric="sim_seconds_per_cpu_second",
         egress_signature=signature, label="base"))
     path = str(tmp_path / "BENCH_kernel.json")
     write_trajectory(path, doc)
@@ -46,6 +46,7 @@ class TestRunKernelBench:
         result = small_bench()
         assert result["benchmark"] == "kernel.scale2"
         assert result["deterministic"] is True
+        assert result["sim_seconds_per_cpu_second"] > 0
         assert result["events_per_cpu_second"] > 0
         assert result["events_fired"] > 0
         assert result["heap_high_water"] > 0
@@ -82,7 +83,8 @@ class TestKernelEntry:
         assert made["benchmark"] == "kernel.scale2"
         assert made["label"] == "v1"
         assert made["config"] == CONFIG == result["config"]
-        assert made["primary_metric"] == "events_per_cpu_second"
+        assert made["primary_metric"] == "sim_seconds_per_cpu_second"
+        assert made["metrics"]["events_per_cpu_second"] > 0
         assert made["egress_signature"] == result["egress_signature"]
         assert made["metrics"]["events_fired"] == result["events_fired"]
         assert made["metrics"]["ok"] is True

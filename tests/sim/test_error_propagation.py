@@ -1,7 +1,8 @@
 """Errors must surface, not vanish: channel closure wakes blocked
 getters with ChannelClosed, a failed process propagates its original
 cause through ProcessFailed, and a guest thread crashing when its host
-dies mid-quantum reaches the engine process as a chained failure."""
+dies mid-quantum fails the engine's terminal event as a chained
+failure."""
 
 import random
 
@@ -98,8 +99,9 @@ class TestHostDeathMidQuantum:
     def test_thread_crash_reaches_engine_as_chained_failure(self):
         """A host dying mid-quantum: one guest thread takes the machine
         down, the next thread in the same scheduling round hits the dead
-        host and raises.  The error arrives at the engine process as
-        ProcessFailed -> ThreadCrashed -> the thread's own exception."""
+        host and raises.  The error fails the engine's terminal event
+        with ProcessFailed -> ThreadCrashed -> the thread's own
+        exception."""
         sim = Simulator(seed=2)
         network = Network(sim)
         host = Host(sim, 0, network, jitter_sigma=0.0)
@@ -123,17 +125,13 @@ class TestHostDeathMidQuantum:
 
         guest.schedule_at_instr(0, setup)
         vmm.start()
-        failures = []
-
-        def monitor():
-            try:
-                yield vmm._engine_proc
-            except ProcessFailed as error:
-                failures.append(error)
-
-        sim.process(monitor())
+        ended = []
+        vmm._engine_proc.add_callback(ended.append)
         sim.run(until=0.5)
-        (failure,) = failures
+        (engine,) = ended
+        assert not engine.ok
+        failure = engine.value
+        assert isinstance(failure, ProcessFailed)
         crash = failure.__cause__
         assert isinstance(crash, ThreadCrashed)
         assert "victim" in str(crash)

@@ -1,22 +1,16 @@
-"""Tests for events, timeouts and composite conditions."""
+"""Tests for events and timeouts."""
 
 import pytest
 
 from repro.sim import Simulator, SimulationError
-from repro.sim.events import AllOf, AnyOf, first_of
 
 
 def test_event_trigger_delivers_value_to_multiple_waiters():
     sim = Simulator()
     got = []
     event = sim.event()
-
-    def waiter(tag):
-        value = yield event
-        got.append((tag, value))
-
-    sim.process(waiter("x"))
-    sim.process(waiter("y"))
+    for tag in ("x", "y"):
+        event.add_callback(lambda ev, tag=tag: got.append((tag, ev.value)))
     sim.call_after(1.0, event.trigger, 7)
     sim.run()
     assert sorted(got) == [("x", 7), ("y", 7)]
@@ -35,11 +29,7 @@ def test_wait_on_already_triggered_event_resolves_immediately():
     event = sim.event()
     event.trigger("early")
     got = []
-
-    def waiter():
-        got.append((yield event))
-
-    sim.process(waiter())
+    event.add_callback(lambda ev: got.append(ev.value))
     sim.run()
     assert got == ["early"]
 
@@ -49,13 +39,15 @@ def test_failed_event_raises_in_waiter():
     event = sim.event()
     caught = []
 
-    def waiter():
+    def waiter(ev):
+        # a failed event carries the exception for the waiter to raise
+        assert not ev.ok
         try:
-            yield event
+            raise ev.value
         except RuntimeError as error:
             caught.append(str(error))
 
-    sim.process(waiter())
+    event.add_callback(waiter)
     sim.call_after(1.0, event.fail, RuntimeError("bad"))
     sim.run()
     assert caught == ["bad"]
@@ -67,71 +59,6 @@ def test_timeout_cancel():
     timeout.cancel()
     sim.run()
     assert not timeout.triggered
-
-
-def test_anyof_resolves_on_first_child():
-    sim = Simulator()
-    winners = []
-    fast = sim.timeout(1.0, "fast")
-    slow = sim.timeout(5.0, "slow")
-
-    def racer():
-        fired = yield AnyOf(sim, [fast, slow])
-        winners.append(set(fired.values()))
-
-    sim.process(racer())
-    sim.run()
-    assert winners == [{"fast"}]
-
-
-def test_first_of_helper():
-    sim = Simulator()
-    got = []
-
-    def racer():
-        fired = yield first_of(sim, sim.timeout(2.0, "a"), sim.timeout(1.0, "b"))
-        got.append(sorted(fired.values()))
-
-    sim.process(racer())
-    sim.run(until=3.0)
-    assert got == [["b"]]
-
-
-def test_allof_waits_for_every_child():
-    sim = Simulator()
-    done = []
-    children = [sim.timeout(t, t) for t in (1.0, 3.0, 2.0)]
-
-    def gatherer():
-        values = yield AllOf(sim, children)
-        done.append((sim.now, sorted(values.values())))
-
-    sim.process(gatherer())
-    sim.run()
-    assert done == [(3.0, [1.0, 2.0, 3.0])]
-
-
-def test_condition_over_nothing_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        AnyOf(sim, [])
-
-
-def test_anyof_propagates_child_failure():
-    sim = Simulator()
-    event = sim.event()
-    caught = []
-
-    def racer():
-        try:
-            yield AnyOf(sim, [event, sim.timeout(9.0)])
-        except ValueError:
-            caught.append(True)
-
-    sim.process(racer())
-    sim.call_after(1.0, event.fail, ValueError("nope"))
-    sim.run()
-    assert caught == [True]
 
 
 def test_negative_timeout_rejected():

@@ -110,6 +110,53 @@ class TestBaselineInjection:
         assert len(got) == 1
 
 
+class TestPokeAtQuantumEnd:
+    """A baseline poke at exactly the instant a quantum ends, queued
+    behind that quantum's kernel entry, is one more mid-quantum exit --
+    not a second chain of wakes driving the same engine (which once
+    ran the guest at twice real time from then on)."""
+
+    EXIT = 20
+
+    def exit_instants(self):
+        sim, _, vmm = make_vmm()
+        instants = []
+        vm_exit = vmm._vm_exit
+
+        def recording_exit():
+            instants.append(sim.now)
+            vm_exit()
+
+        vmm._vm_exit = recording_exit
+        vmm.start()
+        sim.run(until=0.1)
+        return instants
+
+    def run_with_packet(self, scheduled_at, arrives_at):
+        """Instructions and exits by t=0.1 s with one inbound packet
+        observed at ``arrives_at``, queued by an event at
+        ``scheduled_at`` (so after any quantum started before then)."""
+        sim, _, vmm = make_vmm()
+        vmm.start()
+        sim.call_at(scheduled_at, lambda: sim.call_at(
+            arrives_at, vmm.observe_inbound, None, make_packet()))
+        sim.run(until=0.1)
+        return vmm.instr, vmm.stats["vm_exits"]
+
+    def test_same_instant_poke_matches_an_earlier_one(self):
+        instants = self.exit_instants()
+        previous, exit_at = instants[self.EXIT - 1], instants[self.EXIT]
+        scheduled_at = previous + 1e-9
+        exact = self.run_with_packet(scheduled_at, exit_at)
+        earlier = self.run_with_packet(scheduled_at, exit_at - 1e-7)
+        assert exact == earlier
+        # one extra exit (the injection) on top of the ~100 boundary
+        # exits of 0.1 s at 100 Mbranch/s
+        instr, exits = exact
+        assert instr == pytest.approx(10_000_000, rel=0.02)
+        assert 95 <= exits <= 105
+
+
 class TestMediatedSingleReplica:
     """mediate=True with one replica: Δn applies with trivial medians --
     exercised without the coordination machinery (coordination=None skips
@@ -191,3 +238,82 @@ class TestEpochResyncSingle:
         # after many epochs, virtual time should be near real time
         assert vmm.current_virt() == pytest.approx(1.0, rel=0.15)
         assert vmm.clock.epoch_index > 50
+
+
+class _PacingGate:
+    """Coordination stand-in: every pacing boundary stalls until
+    :meth:`open` wakes the engines parked on it."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.is_open = False
+        self.waiters = []
+
+    def report_progress(self, boundary):
+        pass
+
+    def can_proceed(self, boundary):
+        return self.is_open
+
+    def wait_progress(self):
+        event = self.sim.event()
+        self.waiters.append(event)
+        return event
+
+    def open(self, wake_first=True):
+        self.is_open = True
+        for event in self.waiters[0 if wake_first else 1:]:
+            event.trigger()
+
+
+class TestRestart:
+    """An engine restarted in place must run alone: nothing its
+    predecessor left queued may resume it."""
+
+    def test_restart_before_the_stopped_quantum_ends(self):
+        sim, _, vmm = make_vmm()
+        vmm.start()
+        sim.run(until=0.0105)    # mid-quantum
+        vmm.stop()
+        vmm.start()
+        sim.run(until=0.05)
+        assert vmm.instr == pytest.approx(5_000_000, rel=0.05)
+        # one engine: exactly one VM exit per exit-interval boundary
+        assert vmm.stats["vm_exits"] \
+            == vmm.instr // vmm.config.exit_interval_branches
+        assert not vmm._engine_proc.triggered
+
+    def test_restart_in_the_crash_instant(self):
+        sim, _, vmm = make_vmm()
+        vmm.start()
+        sim.run(until=0.0105)
+        vmm.fail()
+        vmm.start()
+        sim.run(until=0.05)
+        assert vmm.instr == pytest.approx(5_000_000, rel=0.05)
+        # one engine: exactly one VM exit per exit-interval boundary
+        assert vmm.stats["vm_exits"] \
+            == vmm.instr // vmm.config.exit_interval_branches
+        assert not vmm._engine_proc.triggered
+
+    def run_restarted(self, wake_stale):
+        config = StopWatchConfig(replicas=1, mediate=True,
+                                 egress_enabled=False)
+        sim, _, vmm = make_vmm(config=config)
+        gate = vmm.coordination = _PacingGate(sim)
+        vmm.start()
+        sim.run(until=0.006)     # parked at the first pacing boundary
+        vmm.fail()               # not mid-quantum: nothing to cut short
+        vmm.start()              # runs on to the next boundary and parks
+        sim.run(until=0.02)
+        assert len(gate.waiters) == 2
+        gate.open(wake_first=wake_stale)
+        sim.run(until=0.05)
+        return vmm.instr, vmm.stats["vm_exits"]
+
+    def test_stale_barrier_wake_is_ignored(self):
+        """A crash while parked at a pacing barrier leaves a wake on
+        that barrier; when it fires, only the new engine's own wake
+        may resume it."""
+        assert self.run_restarted(wake_stale=True) \
+            == self.run_restarted(wake_stale=False)
