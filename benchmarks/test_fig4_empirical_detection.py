@@ -13,18 +13,18 @@ observations than without StopWatch.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.attacks import run_coresidence_experiment
+from repro.attacks import run_clock_probe
 
 CONFIDENCES = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
 DURATION = 30.0
 
 
 def _cdf_rows(result, points=12):
-    both = sorted(result.samples_control + result.samples_victim)
+    both = sorted(result.samples_absent + result.samples_present)
     xs = [both[int(i * (len(both) - 1) / (points - 1))]
           for i in range(points)]
-    control = np.sort(result.samples_control)
-    victim = np.sort(result.samples_victim)
+    control = np.sort(result.samples_absent)
+    victim = np.sort(result.samples_present)
     rows = []
     for x in xs:
         rows.append((
@@ -37,10 +37,8 @@ def _cdf_rows(result, points=12):
 
 def test_fig4_stopwatch_vs_baseline(benchmark, save_result):
     def run():
-        with_sw = run_coresidence_experiment(mediated=True,
-                                             duration=DURATION)
-        without_sw = run_coresidence_experiment(mediated=False,
-                                                duration=DURATION)
+        with_sw = run_clock_probe("stopwatch", duration=DURATION)
+        without_sw = run_clock_probe("none", duration=DURATION)
         return with_sw, without_sw
 
     with_sw, without_sw = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -59,4 +57,4 @@ def test_fig4_stopwatch_vs_baseline(benchmark, save_result):
 
     for _, base_n, sw_n in rows:
         assert sw_n >= 4 * base_n
-    assert with_sw.divergences == 0
+    assert with_sw.meta["divergences"] == 0

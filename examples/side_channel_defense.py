@@ -14,18 +14,18 @@ Run:  python examples/side_channel_defense.py   (~1-2 minutes)
 import statistics
 
 from repro.analysis import format_table
-from repro.attacks import run_coresidence_experiment
+from repro.attacks import run_clock_probe
 
 DURATION = 20.0
 CONFIDENCES = (0.70, 0.80, 0.90, 0.95, 0.99)
 
 
 def describe(label: str, result) -> None:
-    mean_victim = statistics.mean(result.samples_victim) * 1000
-    mean_control = statistics.mean(result.samples_control) * 1000
+    mean_victim = statistics.mean(result.samples_present) * 1000
+    mean_control = statistics.mean(result.samples_absent) * 1000
     print(f"\n{label}")
     print("-" * len(label))
-    print(f"samples per condition : {len(result.samples_victim)}")
+    print(f"samples per condition : {len(result.samples_present)}")
     print(f"mean inter-packet time, victim coresident : "
           f"{mean_victim:.3f} ms")
     print(f"mean inter-packet time, no victim         : "
@@ -36,11 +36,9 @@ def describe(label: str, result) -> None:
 
 def main() -> None:
     print("Running the unmodified-Xen condition...")
-    baseline = run_coresidence_experiment(mediated=False,
-                                          duration=DURATION)
+    baseline = run_clock_probe("none", duration=DURATION)
     print("Running the StopWatch condition...")
-    stopwatch = run_coresidence_experiment(mediated=True,
-                                           duration=DURATION)
+    stopwatch = run_clock_probe("stopwatch", duration=DURATION)
 
     describe("Unmodified Xen (attacker directly coresident with victim)",
              baseline)

@@ -27,6 +27,8 @@ through the campaign executor.
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.report import (divergence_note, first_divergence,
+                                   percentile)
 from repro.core.config import RESILIENT
 from repro.faults import FaultInjector, FaultSchedule
 from repro.faults.schedule import FaultEvent
@@ -107,15 +109,7 @@ def determinism_check(seed: int = 7, duration: float = 3.0,
                                  schedule=schedule)
     sig_a = chaos_signature(first["sim"].trace)
     sig_b = chaos_signature(second["sim"].trace)
-    divergence = None
-    for index, (a, b) in enumerate(zip(sig_a, sig_b)):
-        if a != b:
-            divergence = (index, a, b)
-            break
-    if divergence is None and len(sig_a) != len(sig_b):
-        shorter = min(len(sig_a), len(sig_b))
-        longer = sig_a if len(sig_a) > len(sig_b) else sig_b
-        divergence = (shorter, None, longer[shorter])
+    divergence = first_divergence(sig_a, sig_b)
     return {
         "identical": divergence is None,
         "records": len(sig_a),
@@ -316,16 +310,8 @@ def run_chaos_cell(seed: int = 7, scenario: str = "single",
     result["divergence"] = None
     if check_determinism:
         _, replay = _cell_once(seed, scenario, duration, rate)
-        result["deterministic"] = signature == replay
-        if not result["deterministic"]:
-            for index, (a, b) in enumerate(zip(signature, replay)):
-                if a != b:
-                    result["divergence"] = (
-                        f"record {index}: {a!r} != {b!r}")
-                    break
-            else:
-                result["divergence"] = (
-                    f"lengths differ: {len(signature)} vs {len(replay)}")
+        result["divergence"] = divergence_note(signature, replay)
+        result["deterministic"] = result["divergence"] is None
     result["ok"] = (not result["violations"]
                     and result["deterministic"] is not False)
     return result
@@ -372,14 +358,6 @@ def run_chaos_campaign(seeds: Optional[Sequence[int]] = None,
     return summarize_chaos_campaign(executor.run())
 
 
-def _percentile(values: List[float], p: float) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(p / 100 * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def summarize_chaos_campaign(report) -> dict:
     """Roll a campaign report up into the BENCH/CI gate summary."""
     cells: List[dict] = []
@@ -423,8 +401,8 @@ def summarize_chaos_campaign(report) -> dict:
         "ok": not violations,
         "violations": violations,
         "nondeterministic_cells": nondeterministic,
-        "recovery_p50": _percentile(recovery, 50),
-        "recovery_p95": _percentile(recovery, 95),
+        "recovery_p50": percentile(recovery, 50),
+        "recovery_p95": percentile(recovery, 95),
         "recoveries": len(recovery),
         "wall_seconds": round(report.wall_seconds, 3),
         "results": cells,

@@ -17,6 +17,7 @@ from repro.core.config import StopWatchConfig, DEFAULT, PASSTHROUGH
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
 from repro.stats.detection import (
+    CONFIDENCES,
     bin_probabilities,
     equiprobable_bin_edges,
     observations_to_detect,
@@ -52,8 +53,6 @@ PERF_HOST_KWARGS = {
     "disk_kwargs": {"seek_min": 0.001, "seek_max": 0.003,
                     "per_block": 2e-5},
 }
-
-CONFIDENCES = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
 
 #: ring-buffer cap for the always-on driver traces: filtered recording is
 #: cheap (category-indexed) and this bounds memory on long runs
@@ -108,13 +107,12 @@ def fig4_empirical_detection(duration: float = 30.0, seed: int = 7,
                              confidences: Sequence[float] = CONFIDENCES,
                              ) -> dict:
     """Fig. 4: empirical inter-packet samples and detection curves for
-    both the StopWatch and unmodified-Xen conditions."""
-    from repro.attacks.sidechannel import run_coresidence_experiment
+    both the StopWatch and unmodified-Xen conditions -- the IO-clock
+    probe under the ``stopwatch`` and ``none`` policies."""
+    from repro.attacks.probes import run_clock_probe
 
-    with_sw = run_coresidence_experiment(mediated=True, duration=duration,
-                                         seed=seed)
-    without_sw = run_coresidence_experiment(mediated=False,
-                                            duration=duration, seed=seed)
+    with_sw = run_clock_probe("stopwatch", duration=duration, seed=seed)
+    without_sw = run_clock_probe("none", duration=duration, seed=seed)
     return {
         "stopwatch": with_sw,
         "baseline": without_sw,
@@ -285,42 +283,14 @@ def placement_utilization(points: Sequence[Tuple[int, int]] = (
 def delta_offset_translation(duration: float = 10.0,
                              seed: int = 5) -> dict:
     """Measure what Δn and Δd translate to in real time (paper: ~7-12 ms
-    and ~8-15 ms respectively)."""
-    from repro.workloads.echo import EchoServer, PingClient
-    from repro.workloads.parsec import BlackScholes
+    and ~8-15 ms respectively) on the Sec. VII-A echo+compute cloud."""
+    from repro.analysis.observe import mediation_delays, run_observed_workload
 
-    sim = Simulator(seed=seed, trace=Trace(
-        categories={"ingress.replicate", "vmm.deliver",
-                    "vmm.disk.request"},
-        max_per_category=TRACE_CAP))
-    cloud = Cloud(sim, machines=3, config=DEFAULT,
-                  host_kwargs=PERF_HOST_KWARGS)
-    cloud.create_vm("echo", EchoServer)
-    cloud.create_vm("compute", lambda guest: BlackScholes(guest),
-                    hosts=[0, 1, 2])
-    client = cloud.add_client("client:1")
-    pinger = PingClient(client, "vm:echo", mean_interval=0.015)
-    sim.call_after(0.05, pinger.start)
-    cloud.run(until=duration)
-
-    arrivals = {r.payload["seq"]: r.time
-                for r in sim.trace.select("ingress.replicate", vm="echo")}
-    net_delays = []
-    for record in sim.trace.select("vmm.deliver.net", vm="echo",
-                                   replica=0):
-        seq = record.payload["seq"]
-        if seq in arrivals:
-            net_delays.append(record.time - arrivals[seq])
-
-    requests = {r.payload["req"]: r.time
-                for r in sim.trace.select("vmm.disk.request", vm="compute",
-                                          replica=0)}
-    disk_delays = []
-    for record in sim.trace.select("vmm.deliver.disk", vm="compute",
-                                   replica=0):
-        req = record.payload["req"]
-        if req in requests:
-            disk_delays.append(record.time - requests[req])
+    sim, _ = run_observed_workload(
+        duration=duration, seed=seed,
+        categories=("ingress.replicate", "vmm.deliver", "vmm.disk.request"),
+        max_per_category=TRACE_CAP)
+    net_delays, disk_delays = mediation_delays(sim.trace)
     return {"net_delays": net_delays, "disk_delays": disk_delays}
 
 
@@ -414,13 +384,13 @@ def aggregation_ablation(aggregations: Sequence[str] = ("median", "leader",
     copies a coresident replica's perturbation to all replicas, while
     the median suppresses it.
     """
-    from repro.attacks.sidechannel import run_coresidence_experiment
+    from repro.attacks.probes import run_clock_probe
 
     rows = []
     for how in aggregations:
-        config = DEFAULT.with_overrides(aggregation=how)
-        result = run_coresidence_experiment(
-            mediated=True, duration=duration, seed=seed, config=config)
+        result = run_clock_probe(
+            "stopwatch", duration=duration, seed=seed,
+            base_config=DEFAULT.with_overrides(aggregation=how))
         curve = result.detection_curve([confidence])
         rows.append((how, curve[0][1]))
     return rows

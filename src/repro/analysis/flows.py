@@ -1,29 +1,18 @@
 """Flow-level analysis behind ``repro spans`` / ``repro flows``.
 
-Runs the representative echo+compute cloud with causal flow tracking on
-(:mod:`repro.obs`), then reports where each packet's mediation delay
-went: per-stage latency percentiles, the slowest flows with their
-dominant stage, and per-flow span timelines.  Also registers the
+Reads the representative echo+compute cloud run with causal flow
+tracking on (``run_observed_workload(flows=True)``, :mod:`repro.obs`)
+and reports where each packet's mediation delay went: per-stage
+latency percentiles, the slowest flows with their dominant stage, and
+per-flow span timelines.  Also registers the
 ``flow_stage_latency`` campaign runner so stage-level percentiles can be
 rolled up across seeds by ``repro campaign aggregate``.
 """
 
 from typing import List, Optional, Tuple
 
+from repro.analysis.observe import run_observed_workload
 from repro.obs.flows import STAGES, FlowTracker, stage_metrics
-
-
-def run_flow_workload(duration: float = 2.0, seed: int = 5,
-                      max_per_category: Optional[int] = None,
-                      profile: bool = False):
-    """The ``repro trace`` workload with span/flow tracking enabled;
-    returns the simulator (``sim.flows`` populated)."""
-    from repro.analysis.observe import run_observed_workload
-
-    sim, _ = run_observed_workload(duration=duration, seed=seed,
-                                   max_per_category=max_per_category,
-                                   flows=True, profile=profile)
-    return sim
 
 
 def flow_stage_rows(tracker: FlowTracker) -> List[tuple]:
@@ -104,7 +93,7 @@ def flow_stage_latency(duration: float = 2.0, seed: int = 5) -> dict:
     run.  The ``rows`` are the stage table; ``metrics`` is the full
     :meth:`~repro.sim.monitor.MetricSet.snapshot` that the campaign
     executor persists into the manifest for cross-seed rollups."""
-    sim = run_flow_workload(duration=duration, seed=seed)
+    sim, _ = run_observed_workload(duration=duration, seed=seed, flows=True)
     rows = [list(row) for row in flow_stage_rows(sim.flows)]
     return {"rows": rows,
             "metrics": stage_metrics(sim.flows).snapshot()}

@@ -19,6 +19,8 @@ byte-identity per policy is one string comparison.
 import hashlib
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.analysis.report import percentile
+
 #: the shipped policy family, cheapest protection first
 POLICY_NAMES = ("none", "uniform-noise", "deterland", "stopwatch")
 #: the attack suite swept by default (repro.attacks.ATTACK_SUITE keys)
@@ -68,7 +70,7 @@ def run_mitigation_cell(policy: str = "stopwatch",
         "samples_present": len(result.samples_present),
         "victim_requests": len(latencies),
         "victim_latency_mean": _mean(latencies),
-        "victim_latency_p95": _percentile(latencies, 95),
+        "victim_latency_p95": percentile(latencies, 95),
         "meta": dict(result.meta),
     }
 
@@ -239,12 +241,3 @@ def policy_signature(policy, seed: int = 5, duration: float = 3.0,
 def _mean(values: Sequence[float]) -> Optional[float]:
     values = [v for v in values if v is not None]
     return sum(values) / len(values) if values else None
-
-
-def _percentile(values: List[float], p: float) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1,
-                int(round(p / 100 * (len(ordered) - 1))))
-    return ordered[index]

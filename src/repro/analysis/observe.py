@@ -1,18 +1,19 @@
-"""Observability drivers behind the ``repro trace`` / ``repro metrics``
-CLI subcommands.
+"""The Sec. VII-A cloud and what its trace says.
 
-Both run the same representative cloud (an echo server pinged from an
-external client next to a disk-bound PARSEC kernel -- the Sec. VII-A
-setup) with tracing fully on, then report on what the observability
-layer captured: per-category record counts, ring-buffer drops, JSONL
-exports, mediation-delay percentiles, and event-loop health counters.
+:func:`run_observed_workload` runs the representative cloud (an echo
+server pinged from an external client next to a disk-bound PARSEC
+kernel) with tracing on.  ``repro offsets``, ``trace``, ``metrics``,
+``spans`` and ``flows`` all run it and report on what the
+observability layer captured: per-category record counts, ring-buffer
+drops, JSONL exports, mediation delays (:func:`mediation_delays`),
+event-loop health counters and, with ``flows=True``, causal spans.
 """
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.config import DEFAULT
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import JsonlSink, MetricSet, Trace
+from repro.sim.monitor import JsonlSink, MetricSet, Trace, TraceRecord
 
 
 def run_observed_workload(duration: float = 2.0, seed: int = 5,
@@ -60,24 +61,42 @@ def trace_category_rows(trace: Trace) -> list:
             for category, retained in trace.counts().items()]
 
 
-def mediation_delay_metrics(trace: Trace) -> MetricSet:
-    """Derive the Sec. VII-A mediation-delay observations from a trace.
+def _delays(trace: Trace, starts: Iterable[TraceRecord], category: str,
+            key: str) -> List[float]:
+    """Replica-0 ``category`` record time minus the time of the start
+    record with the same VM and ``key``, for every matched pair."""
+    started = {(r.payload.get("vm"), r.payload.get(key)): r.time
+               for r in starts}
+    delays = []
+    for record in trace.iter_records(category, replica=0):
+        start = started.get((record.payload.get("vm"),
+                             record.payload.get(key)))
+        if start is not None:
+            delays.append(record.time - start)
+    return delays
 
-    ``delay.net`` is ingress arrival -> replica-0 delivery (Δn in real
-    time); ``delay.disk`` is disk request -> delivery (Δd).  Values are
-    seconds.
+
+def mediation_delays(trace: Trace) -> Tuple[List[float], List[float]]:
+    """The Sec. VII-A mediation delays in a trace, in seconds: (net,
+    disk).
+
+    A net delay is ingress arrival -> replica-0 delivery (Δn in real
+    time); a disk delay is replica-0 disk request -> delivery (Δd).
     """
+    net = _delays(trace, trace.iter_records("ingress.replicate"),
+                  "vmm.deliver.net", "seq")
+    disk = _delays(trace, trace.iter_records("vmm.disk.request", replica=0),
+                   "vmm.deliver.disk", "req")
+    return net, disk
+
+
+def mediation_delay_metrics(trace: Trace) -> MetricSet:
+    """:func:`mediation_delays` as ``delay.net`` / ``delay.disk``
+    observation streams."""
     metrics = MetricSet()
-    arrivals = {r.payload.get("seq"): r.time
-                for r in trace.iter_records("ingress.replicate")}
-    for record in trace.iter_records("vmm.deliver.net", replica=0):
-        arrival = arrivals.get(record.payload.get("seq"))
-        if arrival is not None:
-            metrics.observe("delay.net", record.time - arrival)
-    requests = {(r.payload.get("vm"), r.payload.get("req")): r.time
-                for r in trace.iter_records("vmm.disk.request", replica=0)}
-    for record in trace.iter_records("vmm.deliver.disk", replica=0):
-        key = (record.payload.get("vm"), record.payload.get("req"))
-        if key in requests:
-            metrics.observe("delay.disk", record.time - requests[key])
+    net_delays, disk_delays = mediation_delays(trace)
+    for name, delays in (("delay.net", net_delays),
+                         ("delay.disk", disk_delays)):
+        for delay in delays:
+            metrics.observe(name, delay)
     return metrics

@@ -1,6 +1,7 @@
-"""Plain-text table rendering for experiment output."""
+"""Plain-text table rendering and small summaries for experiment
+output."""
 
-from typing import Any, List, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.sim.monitor import MetricSet
 
@@ -45,3 +46,39 @@ def summarize(values: List[float],
     for value in values:
         metrics.observe("samples", value)
     return metrics.snapshot(percentiles)["observations"]["samples"]
+
+
+def percentile(values: Sequence[float], p: float) -> Optional[float]:
+    """Nearest-rank percentile of ``values`` at ``p`` (0-100); ``None``
+    on an empty sample."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    index = min(len(ordered) - 1, int(round(p / 100 * (len(ordered) - 1))))
+    return ordered[index]
+
+
+def first_divergence(a: Sequence, b: Sequence,
+                     ) -> Optional[Tuple[int, Any, Any]]:
+    """``(index, a[index], b[index])`` at the first index where two
+    record sequences differ, ``None`` standing in for the shorter
+    side's missing record; ``None`` when they are equal."""
+    for index, (record_a, record_b) in enumerate(zip(a, b)):
+        if record_a != record_b:
+            return index, record_a, record_b
+    if len(a) == len(b):
+        return None
+    index = min(len(a), len(b))
+    return (index, a[index] if index < len(a) else None,
+            b[index] if index < len(b) else None)
+
+
+def divergence_note(a: Sequence, b: Sequence) -> Optional[str]:
+    """:func:`first_divergence` as one line for a cell's result."""
+    divergence = first_divergence(a, b)
+    if divergence is None:
+        return None
+    index, record_a, record_b = divergence
+    if index == min(len(a), len(b)):
+        return f"lengths differ: {len(a)} vs {len(b)}"
+    return f"record {index}: {record_a!r} != {record_b!r}"

@@ -27,6 +27,7 @@ the suite.
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.report import divergence_note
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
@@ -216,16 +217,8 @@ def run_storage_repair_cell(seed: int = 7, duration: float = 6.0,
     if check_determinism:
         _, replay = _cell_once(seed, duration, k, n, object_size,
                                objects, crash_at)
-        result["deterministic"] = signature == replay
-        if not result["deterministic"]:
-            for index, (a, b) in enumerate(zip(signature, replay)):
-                if a != b:
-                    result["divergence"] = (
-                        f"record {index}: {a!r} != {b!r}")
-                    break
-            else:
-                result["divergence"] = (
-                    f"lengths differ: {len(signature)} vs {len(replay)}")
+        result["divergence"] = divergence_note(signature, replay)
+        result["deterministic"] = result["divergence"] is None
     result["ok"] = (not result["violations"]
                     and result["objects_stored"] > 0
                     and result["min_live_shares"] == n

@@ -4,27 +4,24 @@
   guest: an attacker workload that timestamps its observable events with
   every clock the guest can build (RT = virtual time, IO = interrupt
   arrivals, TL = branch counter, PIT ticks).
-- :mod:`repro.attacks.sidechannel` -- the Fig. 4 experiment: an attacker
-  VM measuring inter-packet delivery times while a victim VM serving
-  files is (or is not) coresident with one of its replicas.
+- :mod:`repro.attacks.probes` -- the coresidency pair (victim absent,
+  then coresident with one attacker replica) that the mitigation
+  frontier's three attacks share under any policy, plus two of them:
+  the external ping probe and the in-guest IO-clock probe.  The clock
+  probe under ``stopwatch`` and ``none`` is the paper's Fig. 4
+  experiment.
+- :mod:`repro.attacks.scheduler` -- the frontier's third attack, the
+  scheduler-theft beacon probe (Zhou et al.'s cycle-stealing
+  measurement).
 - :mod:`repro.attacks.covert` -- an access-driven timing covert channel:
   a Trojan victim modulates host load in time slots; the attacker
   decodes bits from its own event timings.
 - :mod:`repro.attacks.collab` -- Sec. IX's collaborating attackers:
   a second attacker VM loads one replica host to marginalise it from
   the median.
-- :mod:`repro.attacks.probes` -- policy-parameterised coresidency and
-  IO-clock probes for the mitigation frontier (``repro mitigate``).
-- :mod:`repro.attacks.scheduler` -- the scheduler-theft beacon probe
-  (Zhou et al.'s cycle-stealing measurement) against any policy.
 """
 
 from repro.attacks.clocks import ClockObserver, ClockSample
-from repro.attacks.sidechannel import (
-    CoresidenceResult,
-    run_coresidence_experiment,
-    observations_needed_from_samples,
-)
 from repro.attacks.covert import CovertChannelResult, run_covert_channel
 from repro.attacks.collab import CollabResult, run_collab_experiment
 from repro.attacks.probes import (
@@ -46,9 +43,6 @@ ATTACK_SUITE = {
 __all__ = [
     "ClockObserver",
     "ClockSample",
-    "CoresidenceResult",
-    "run_coresidence_experiment",
-    "observations_needed_from_samples",
     "CovertChannelResult",
     "run_covert_channel",
     "CollabResult",

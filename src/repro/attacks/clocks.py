@@ -74,8 +74,3 @@ class ClockObserver(GuestWorkload):
         """IO-event spacing measured with the TL clock (branches)."""
         return [b.instr - a.instr
                 for a, b in zip(self.samples, self.samples[1:])]
-
-    def inter_arrival_ticks(self) -> List[int]:
-        """IO-event spacing measured by counting PIT interrupts."""
-        return [b.pit_ticks - a.pit_ticks
-                for a, b in zip(self.samples, self.samples[1:])]

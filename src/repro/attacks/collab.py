@@ -19,12 +19,13 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from repro.attacks.clocks import ClockObserver
 from repro.attacks.covert import BurstSender, SINK_PORT
-from repro.attacks.sidechannel import observations_needed_from_samples
+from repro.attacks.probes import _keep_downloading
 from repro.cloud.fabric import Cloud
 from repro.core.config import StopWatchConfig, DEFAULT
 from repro.net.udp import UdpStack
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
+from repro.stats.detection import observations_needed_from_samples
 from repro.workloads.echo import PingClient
 from repro.workloads.fileserver import FileServer, HttpDownloader
 
@@ -92,13 +93,9 @@ def run_collab_experiment(replicas: int = 3,
             cloud.create_vm("victim", FileServer, hosts=victim_hosts)
             for index in range(victim_clients):
                 node = cloud.add_client(f"vclient:{index}")
-                downloader = HttpDownloader(node, "vm:victim")
-
-                def loop(dl=downloader):
-                    dl.download(victim_file_bytes,
-                                on_done=lambda _lat: loop(dl))
-
-                sim.call_after(0.05, loop)
+                sim.call_after(0.05, _keep_downloading,
+                               HttpDownloader(node, "vm:victim"),
+                               victim_file_bytes)
         pinger_node = cloud.add_client("pinger:1")
         pinger = PingClient(pinger_node, "vm:attacker",
                             mean_interval=ping_mean)

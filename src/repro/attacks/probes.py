@@ -1,40 +1,42 @@
-"""Policy-parameterised attack probes for the mitigation frontier.
+"""Policy-parameterised coresidency attacks: Fig. 4 and the frontier.
 
-Where :mod:`repro.attacks.sidechannel` reproduces the paper's Fig. 4
-pair (unmodified Xen vs StopWatch), these probes take an arbitrary
-:class:`~repro.mitigation.MitigationPolicy` and run the same
-coresidency question under it, so ``repro mitigate`` can sweep the
-whole policy family over one attack suite.
+Every attack runs the same pair of conditions through
+:func:`coresidency_pair` -- victim *absent* and victim *present*
+(coresident with one attacker replica) -- under an arbitrary
+:class:`~repro.mitigation.MitigationPolicy`, and returns the attacker's
+observable under each as an :class:`AttackResult`.  Leakage is the
+mutual information between the condition bit and one observation
+(:mod:`repro.stats.mi`); the chi-squared detection curve is Fig. 4(b);
+the victim's client latencies in the present condition are the
+overhead axis of ``repro mitigate``.
 
-Each probe runs two conditions -- victim *absent* and victim
-*present* (coresident with the attacker) -- and returns the attacker's
-observable under each, as an :class:`AttackResult`.  Leakage is then
-the mutual information between the condition bit and one observation
-(:mod:`repro.stats.mi`); the victim's client latencies in the present
-condition are the overhead axis.
-
-Probes in this module observe from *outside* the cloud (the vantage the
-paper's threat model cares most about):
+Each attack runner is its ``deploy`` closure (which wires the attacker
+side of one condition's cloud) handed to the pair:
 
 - :func:`run_coresidency_probe` -- a colluding external client pings
-  the attacker VM and measures inter-reply gaps in real time.  This is
-  the probing attack of Zhou et al.'s co-residency detection, pointed
-  at whatever release discipline the egress policy enforces.
+  the attacker VM and measures round trips in real time.  This is the
+  probing attack of Zhou et al.'s co-residency detection, pointed at
+  whatever release discipline the egress policy enforces.
 - :func:`run_clock_probe` -- the attacker guest itself timestamps its
   network interrupts with its RT clock (Wray's IO-vs-RT comparison),
-  testing the *inbound* injection discipline rather than egress.
+  testing the *inbound* injection discipline.  Under ``stopwatch`` and
+  ``none`` this is the paper's Fig. 4 experiment.
 
-:mod:`repro.attacks.scheduler` adds the scheduler-theft beacon probe.
+:mod:`repro.attacks.scheduler` adds the third, the scheduler-theft
+beacon probe.
 """
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from repro.attacks.clocks import ClockObserver
 from repro.cloud.fabric import Cloud
 from repro.core.config import DEFAULT, StopWatchConfig
-from repro.mitigation import MitigationPolicy, resolve_policy
+from repro.mitigation import resolve_policy
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
+from repro.stats.detection import (CONFIDENCES,
+                                   observations_needed_from_samples)
 from repro.workloads.echo import EchoServer, PingClient
 from repro.workloads.fileserver import FileServer, HttpDownloader
 
@@ -90,6 +92,23 @@ class AttackResult(NamedTuple):
         return leakage_summary(
             [self.samples_absent, self.samples_present], bins=bins)
 
+    def detection_curve(self, confidences: Sequence[float] = CONFIDENCES,
+                        bins: int = 10) -> List[Tuple[float, int]]:
+        """Fig. 4(b): (confidence, observations a chi-squared attacker
+        needs to tell present from absent) pairs."""
+        return observations_needed_from_samples(
+            self.samples_absent, self.samples_present, confidences,
+            bins=bins)
+
+
+#: an attack's side of one condition: ``deploy(sim, cloud,
+#: attacker_hosts)`` creates the attacker VM and its colluding clients
+#: and returns two readers, called after the run -- the observable
+#: samples and the meta dict
+Deploy = Callable[[Simulator, Cloud, List[int]],
+                  Tuple[Callable[[], List[float]],
+                        Callable[[], Dict[str, float]]]]
+
 
 def _policy_cell(policy, seed: int,
                  base_config: StopWatchConfig = DEFAULT,
@@ -98,9 +117,11 @@ def _policy_cell(policy, seed: int,
     the attacker/victim host pinning.
 
     Multi-replica policies get the Fig. 4 layout (5 machines, attacker
-    on 0-2, victim on 0,3,4 -- exactly one shared host); single-replica
-    policies co-locate both VMs on the lone machine, the classic cloud
-    coresidency setup.
+    on 0-2, victim on 0,3,4 -- exactly one shared host, which carries
+    attacker replica 0, the "leader" of the aggregation ablation, so
+    leader-dictated timing demonstrably copies the victim's
+    perturbation); single-replica policies co-locate both VMs on the
+    lone machine, the classic cloud coresidency setup.
     """
     policy = resolve_policy(policy, base_config)
     config = policy.configure(base_config)
@@ -120,7 +141,7 @@ def _policy_cell(policy, seed: int,
     return sim, cloud, attacker_hosts, victim_hosts
 
 
-def _keep_downloading(sim, downloader, size: int) -> None:
+def _keep_downloading(downloader, size: int) -> None:
     """Loop downloads back-to-back for the whole run."""
 
     def again(_latency=None):
@@ -143,7 +164,7 @@ def _deploy_victim(sim, cloud, victim_hosts, workload: str,
             node = cloud.add_client(f"victim-client:{index}")
             downloader = HttpDownloader(node, "vm:victim")
             drivers.append(downloader)
-            sim.call_after(0.05, _keep_downloading, sim, downloader,
+            sim.call_after(0.05, _keep_downloading, downloader,
                            file_bytes)
     else:
         cloud.create_vm("victim", EchoServer, hosts=victim_hosts)
@@ -164,13 +185,64 @@ def _victim_latencies(drivers) -> List[float]:
         if hasattr(driver, "latencies"):
             latencies.extend(driver.latencies)
         else:
-            times = driver.reply_times
-            latencies.extend(b - a for a, b in zip(times, times[1:]))
+            latencies.extend(_gaps(driver.reply_times))
     return latencies
 
 
 def _gaps(times: List[float]) -> List[float]:
     return [b - a for a, b in zip(times, times[1:])]
+
+
+def coresidency_pair(attack: str, policy, deploy: Deploy,
+                     duration: float, seed: int,
+                     workload: str = "fileserver",
+                     victim_clients: int = 3,
+                     victim_file_bytes: int = 300_000,
+                     ping_mean: float = 0.020,
+                     base_config: StopWatchConfig = DEFAULT,
+                     ) -> AttackResult:
+    """Run ``deploy``'s attacker with the victim absent, then present.
+
+    Each condition is a fresh same-seed cloud under ``policy``; the
+    victim's latencies and the attack's meta come from the present run.
+    """
+    samples = []
+    for present in (False, True):
+        sim, cloud, attacker_hosts, victim_hosts = _policy_cell(
+            policy, seed, base_config)
+        observe, read_meta = deploy(sim, cloud, attacker_hosts)
+        drivers = []
+        if present:
+            drivers = _deploy_victim(sim, cloud, victim_hosts, workload,
+                                     victim_clients, victim_file_bytes,
+                                     ping_mean)
+        cloud.run(until=duration)
+        samples.append(observe())
+    return AttackResult(
+        attack=attack,
+        policy=cloud.policy.name,
+        samples_absent=samples[0],
+        samples_present=samples[1],
+        latencies=_victim_latencies(drivers),
+        meta=read_meta(),
+    )
+
+
+def _pinged_attacker(sim, cloud, attacker_hosts, factory,
+                     client_cls, ping_mean: float):
+    """The attacker VM plus a colluding client pinging it from
+    t=0.1 s; returns the pinger and the meta reader."""
+    cloud.create_vm("attacker", factory, hosts=attacker_hosts)
+    pinger = client_cls(cloud.add_client("pinger:1"), "vm:attacker",
+                        mean_interval=ping_mean)
+    sim.call_after(0.1, pinger.start)
+
+    def meta() -> Dict[str, float]:
+        return {"divergences":
+                cloud.vms["attacker"].stat_sum("divergences"),
+                "pings_sent": float(pinger.sent)}
+
+    return pinger, meta
 
 
 def run_coresidency_probe(policy="stopwatch",
@@ -188,36 +260,18 @@ def run_coresidency_probe(policy="stopwatch",
     client's per-ping round trips (real time, downstream of the egress
     policy) are the observable.
     """
-    samples = {}
-    latencies: List[float] = []
-    divergences = 0.0
-    for present in (False, True):
-        sim, cloud, attacker_hosts, victim_hosts = _policy_cell(
-            policy, seed, base_config)
-        cloud.create_vm("attacker", ClockObserver, hosts=attacker_hosts)
-        pinger_node = cloud.add_client("pinger:1")
-        pinger = RttPingClient(pinger_node, "vm:attacker",
-                               mean_interval=ping_mean)
-        drivers = []
-        if present:
-            drivers = _deploy_victim(sim, cloud, victim_hosts, workload,
-                                     victim_clients, victim_file_bytes,
-                                     ping_mean)
-        sim.call_after(0.1, pinger.start)
-        cloud.run(until=duration)
-        samples[present] = list(pinger.rtts)
-        if present:
-            latencies = _victim_latencies(drivers)
-            divergences = cloud.vms["attacker"].stat_sum("divergences")
-    return AttackResult(
-        attack="probe",
-        policy=cloud.policy.name,
-        samples_absent=samples[False],
-        samples_present=samples[True],
-        latencies=latencies,
-        meta={"divergences": divergences,
-              "pings_sent": float(pinger.sent)},
-    )
+
+    def deploy(sim, cloud, attacker_hosts):
+        pinger, meta = _pinged_attacker(sim, cloud, attacker_hosts,
+                                        ClockObserver, RttPingClient,
+                                        ping_mean)
+        return (lambda: pinger.rtts), meta
+
+    return coresidency_pair(
+        "probe", policy, deploy, duration, seed, workload=workload,
+        victim_clients=victim_clients,
+        victim_file_bytes=victim_file_bytes, ping_mean=ping_mean,
+        base_config=base_config)
 
 
 def run_clock_probe(policy="stopwatch",
@@ -237,42 +291,21 @@ def run_clock_probe(policy="stopwatch",
     stopwatch, boundary-quantised under deterland, jittered under
     uniform-noise, raw under none.
     """
-    samples = {}
-    latencies: List[float] = []
-    divergences = 0.0
-    observers = []
 
-    def factory(guest):
-        observer = ClockObserver(guest)
-        observers.append(observer)
-        return observer
+    def deploy(sim, cloud, attacker_hosts):
+        observers: List[ClockObserver] = []
 
-    for present in (False, True):
-        observers.clear()
-        sim, cloud, attacker_hosts, victim_hosts = _policy_cell(
-            policy, seed, base_config)
-        cloud.create_vm("attacker", factory, hosts=attacker_hosts)
-        pinger_node = cloud.add_client("pinger:1")
-        pinger = PingClient(pinger_node, "vm:attacker",
-                            mean_interval=ping_mean)
-        drivers = []
-        if present:
-            drivers = _deploy_victim(sim, cloud, victim_hosts, workload,
-                                     victim_clients, victim_file_bytes,
-                                     ping_mean)
-        sim.call_after(0.1, pinger.start)
-        cloud.run(until=duration)
+        def factory(guest):
+            observers.append(ClockObserver(guest))
+            return observers[-1]
+
+        _, meta = _pinged_attacker(sim, cloud, attacker_hosts, factory,
+                                   PingClient, ping_mean)
         # replicas record identical virts; read the first replica
-        samples[present] = observers[0].inter_arrival_virts()
-        if present:
-            latencies = _victim_latencies(drivers)
-            divergences = cloud.vms["attacker"].stat_sum("divergences")
-    return AttackResult(
-        attack="clocks",
-        policy=cloud.policy.name,
-        samples_absent=samples[False],
-        samples_present=samples[True],
-        latencies=latencies,
-        meta={"divergences": divergences,
-              "pings_sent": float(pinger.sent)},
-    )
+        return (lambda: observers[0].inter_arrival_virts()), meta
+
+    return coresidency_pair(
+        "clocks", policy, deploy, duration, seed, workload=workload,
+        victim_clients=victim_clients,
+        victim_file_bytes=victim_file_bytes, ping_mean=ping_mean,
+        base_config=base_config)

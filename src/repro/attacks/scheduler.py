@@ -15,13 +15,7 @@ contention shows directly.
 
 from typing import List
 
-from repro.attacks.probes import (
-    AttackResult,
-    _deploy_victim,
-    _gaps,
-    _policy_cell,
-    _victim_latencies,
-)
+from repro.attacks.probes import AttackResult, _gaps, coresidency_pair
 from repro.core.config import DEFAULT, StopWatchConfig
 from repro.net.packet import Packet
 from repro.workloads.base import GuestWorkload
@@ -66,46 +60,25 @@ def run_scheduler_theft(policy="stopwatch",
                         base_config: StopWatchConfig = DEFAULT,
                         ) -> AttackResult:
     """Run the theft probe with and without the coresident victim."""
-    samples = {}
-    latencies: List[float] = []
-    beacons = 0.0
-    policy_name = ""
-    for present in (False, True):
-        sim, cloud, attacker_hosts, victim_hosts = _policy_cell(
-            policy, seed, base_config)
-        sink = cloud.add_client("sink:1")
+
+    def deploy(sim, cloud, attacker_hosts):
         arrivals: List[float] = []
-        sink.register_protocol(
-            BEACON_PROTOCOL,
-            lambda packet, sim=sim, arrivals=arrivals:
-            arrivals.append(sim.now))
-        probes = []
-        cloud.create_vm(
-            "attacker",
-            lambda guest: _remember(probes, TheftProbe(
-                guest, "sink:1", burst_branches=burst_branches)),
-            hosts=attacker_hosts)
-        drivers = []
-        if present:
-            drivers = _deploy_victim(sim, cloud, victim_hosts, workload,
-                                     victim_clients, victim_file_bytes,
-                                     ping_mean)
-        cloud.run(until=duration)
-        samples[present] = _gaps(arrivals)
-        policy_name = cloud.policy.name
-        if present:
-            latencies = _victim_latencies(drivers)
-            beacons = float(probes[0].beacons_sent)
-    return AttackResult(
-        attack="theft",
-        policy=policy_name,
-        samples_absent=samples[False],
-        samples_present=samples[True],
-        latencies=latencies,
-        meta={"beacons_sent": beacons},
-    )
+        sink = cloud.add_client("sink:1")
+        sink.register_protocol(BEACON_PROTOCOL,
+                               lambda packet: arrivals.append(sim.now))
+        probes: List[TheftProbe] = []
 
+        def factory(guest):
+            probes.append(TheftProbe(guest, "sink:1",
+                                     burst_branches=burst_branches))
+            return probes[-1]
 
-def _remember(holder: list, workload):
-    holder.append(workload)
-    return workload
+        cloud.create_vm("attacker", factory, hosts=attacker_hosts)
+        return ((lambda: _gaps(arrivals)),
+                lambda: {"beacons_sent": float(probes[0].beacons_sent)})
+
+    return coresidency_pair(
+        "theft", policy, deploy, duration, seed, workload=workload,
+        victim_clients=victim_clients,
+        victim_file_bytes=victim_file_bytes, ping_mean=ping_mean,
+        base_config=base_config)

@@ -212,12 +212,13 @@ def cmd_spans(args) -> None:
     import time as _time
 
     from repro.analysis import format_table
-    from repro.analysis.flows import flow_summary, run_flow_workload
+    from repro.analysis.flows import flow_summary
+    from repro.analysis.observe import run_observed_workload
     from repro.obs import export_perfetto, validate_file
 
     started = _time.perf_counter()
-    sim = run_flow_workload(duration=args.duration, seed=args.seed,
-                            profile=args.profile)
+    sim, _ = run_observed_workload(duration=args.duration, seed=args.seed,
+                                   profile=args.profile, flows=True)
     total_seconds = _time.perf_counter() - started
     summary = flow_summary(sim.flows)
     print(f"Spans: {summary['spans']} recorded "
@@ -262,11 +263,12 @@ def cmd_spans(args) -> None:
 def cmd_flows(args) -> None:
     from repro.analysis import format_table
     from repro.analysis.flows import (flow_detail_rows, flow_stage_rows,
-                                      flow_summary, run_flow_workload,
-                                      slowest_flow_rows)
+                                      flow_summary, slowest_flow_rows)
+    from repro.analysis.observe import run_observed_workload
     from repro.obs import STAGES
 
-    sim = run_flow_workload(duration=args.duration, seed=args.seed)
+    sim, _ = run_observed_workload(duration=args.duration, seed=args.seed,
+                                   flows=True)
     tracker = sim.flows
     summary = flow_summary(tracker)
     print(f"Flows: {summary['complete']} complete / {summary['flows']} "

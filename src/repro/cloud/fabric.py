@@ -78,9 +78,6 @@ class ReplicatedVM:
     def stat_sum(self, key: str) -> float:
         return sum(vmm.stats[key] for vmm in self.vmms)
 
-    def stat_max(self, key: str) -> float:
-        return max(vmm.stats[key] for vmm in self.vmms)
-
 
 class ClientPort:
     """An external client machine: a RealtimeNode plus its WAN links."""

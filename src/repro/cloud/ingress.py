@@ -61,9 +61,6 @@ class IngressNode:
         while buffered:
             self._on_guest_packet(vm_name, buffered.popleft())
 
-    def paused_packets(self, vm_name: str) -> int:
-        return len(self._paused.get(vm_name, ()))
-
     def rewire_vm(self, vm_name: str, old_address: str,
                   new_address: str) -> int:
         """Swap one replication-group member (replica evacuation) and
@@ -74,9 +71,6 @@ class IngressNode:
             raise ValueError(f"VM {vm_name!r} not registered at ingress")
         sender.replace_member(old_address, new_address)
         return sender.next_seq
-
-    def sender_next_seq(self, vm_name: str) -> int:
-        return self._senders[vm_name].next_seq
 
     def _on_guest_packet(self, vm_name: str, packet: Packet) -> None:
         buffered = self._paused.get(vm_name)

@@ -52,9 +52,6 @@ class Inode:
     def is_dir(self) -> bool:
         return self.kind == "dir"
 
-    def block_count(self) -> int:
-        return (self.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-
     def __repr__(self) -> str:
         return f"<Inode {self.inode_id} {self.kind} size={self.size}>"
 
@@ -142,9 +139,6 @@ class SimpleFileSystem:
 
     def cached(self, inode: Inode, block: int) -> bool:
         return (inode.inode_id, block) in self._cache
-
-    def cache_utilization(self) -> float:
-        return len(self._cache) / self.cache_capacity
 
     # ------------------------------------------------------------------
     # disk-image preloading (no I/O: the image arrives pre-populated,

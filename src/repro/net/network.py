@@ -42,10 +42,6 @@ class Network:
     def detach(self, address: str) -> None:
         self._handlers.pop(address, None)
 
-    def reattach(self, address: str, handler: Callable) -> None:
-        """Replace the receiver for ``address`` (e.g. baseline rewiring)."""
-        self._handlers[address] = handler
-
     # -- partitions (fault injection) --------------------------------------
     def isolate(self, address: str) -> None:
         """Partition ``address`` off the network: packets to it are

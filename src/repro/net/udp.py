@@ -21,9 +21,6 @@ class UdpStack:
             raise ValueError(f"{self.host.address}: UDP port {port} in use")
         self._bindings[port] = handler
 
-    def unbind(self, port: int) -> None:
-        self._bindings.pop(port, None)
-
     def send(self, dst_addr: str, src_port: int, dst_port: int,
              data_len: int, tag: Any = None) -> None:
         """Send one datagram (no fragmentation model; keep <= MTU-sized

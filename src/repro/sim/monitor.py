@@ -157,27 +157,6 @@ class Trace:
         for fn in self._subscribers:
             fn(entry)
 
-    def record_lazy(self, time: float, category: str,
-                    payload_fn: Callable[[], dict]) -> None:
-        """Like :meth:`record`, but ``payload_fn`` builds the payload
-        dict only if the category is actually admitted -- use when the
-        payload itself is expensive to construct."""
-        if not self.enabled:
-            return
-        bucket = self._admitted.get(category, _UNSET)
-        if bucket is _UNSET:
-            bucket = self._admit(category)
-        if bucket is None:
-            return
-        entry = TraceRecord(time, category, payload_fn(), self._seq)
-        self._seq += 1
-        if bucket.maxlen is not None and len(bucket) == bucket.maxlen:
-            self.dropped += 1
-            self.dropped_by_category[category] += 1
-        bucket.append(entry)
-        for fn in self._subscribers:
-            fn(entry)
-
     def subscribe(self, fn: Callable) -> Callable:
         """Stream records to ``fn(record)`` as they are made; returns
         ``fn`` so callers can :meth:`unsubscribe` it later."""

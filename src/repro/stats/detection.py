@@ -16,7 +16,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy import stats as scipy_stats
 
-from repro.stats.distributions import Distribution
+from repro.stats.distributions import Distribution, Empirical
+
+#: the confidence levels Fig. 1(b) and Fig. 4(b) are drawn at
+CONFIDENCES = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
 
 
 def equiprobable_bin_edges(dist: Distribution, bins: int = 10) -> List[float]:
@@ -97,6 +100,24 @@ def observations_curve(p: np.ndarray, q: np.ndarray,
     """(confidence, observations needed) pairs -- one Fig. 1(b)/4(b) line."""
     return [(c, observations_to_detect(p, q, c, power=power))
             for c in confidences]
+
+
+def observations_needed_from_samples(
+        null_samples: Sequence[float], alt_samples: Sequence[float],
+        confidences: Sequence[float], bins: int = 10,
+        power: float = 0.5) -> List[Tuple[float, int]]:
+    """Fig. 4(b): :func:`observations_curve` from two empirical sample
+    sets.  Bins are the null samples' equiprobable quantiles; each
+    condition's cell probabilities are its samples' frequencies."""
+    edges = equiprobable_bin_edges(Empirical(null_samples), bins)
+
+    def frequencies(samples: Sequence[float]) -> np.ndarray:
+        cells = np.searchsorted(edges, samples)
+        return np.bincount(cells, minlength=bins) / len(samples)
+
+    return observations_curve(frequencies(null_samples),
+                              frequencies(alt_samples), confidences,
+                              power=power)
 
 
 def empirical_observations_to_detect(null_dist: Distribution,

@@ -129,9 +129,6 @@ class ReplicaCoordination:
         """Replicas currently believed alive, including this one."""
         return 1 + sum(1 for ok in self.live.values() if ok)
 
-    def is_live(self, replica_id: int) -> bool:
-        return self.live.get(replica_id, False)
-
     def rewire_sibling(self, replica_id: int, new_address: str) -> None:
         """An evacuation moved ``replica_id`` to ``new_address``: swap the
         multicast membership and start a fresh receive stream (the new

@@ -266,10 +266,6 @@ class ShareServer(GuestWorkload):
     def start(self) -> None:
         self.udp.bind(self.port, self._on_datagram)
 
-    @property
-    def bytes_stored(self) -> int:
-        return sum(len(share) for _, share in self.shares.values())
-
     def _on_datagram(self, datagram, src: str) -> None:
         tag = datagram.tag
         if not isinstance(tag, tuple) or not tag:

@@ -1,12 +1,16 @@
 """Tests for the experiment runners and report formatting."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
 from repro.analysis import (
     PARSEC_PAPER_VALUES,
+    aggregation_ablation,
     delta_offset_translation,
+    fig4_empirical_detection,
     fig1_median_cdfs,
     fig1_observation_curves,
     fig5_file_download,
@@ -129,3 +133,31 @@ class TestSimulatorBackedRunners:
         # paper: Δn ~ 7-12 ms, Δd ~ 8-15 ms of real time
         assert 0.006 < mean_net < 0.016
         assert 0.007 < mean_disk < 0.018
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+class TestRecordedOutputs:
+    """Exact outputs recorded when Fig. 4 and its ablation ran through
+    their own cloud builder and the offsets through their own trace
+    reader; the shared drivers must reproduce them bit for bit."""
+
+    def test_fig4_samples(self):
+        result = fig4_empirical_detection(duration=2.0, seed=7)
+        sw, base = result["stopwatch"], result["baseline"]
+        assert _sha256([[sw.samples_absent, sw.samples_present],
+                        [base.samples_absent, base.samples_present]]) == \
+            "0250f73285e290ec94a463def925cbfb6687e83e828ea8426b3c77c145efb594"
+
+    def test_leader_aggregation_ablation(self):
+        assert aggregation_ablation(aggregations=("leader",), duration=2.0,
+                                    seed=7) == [("leader", 410)]
+
+    def test_delta_offsets(self):
+        result = delta_offset_translation(duration=2.0, seed=5)
+        assert len(result["net_delays"]) == 140
+        assert len(result["disk_delays"]) == 38
+        assert _sha256([result["net_delays"], result["disk_delays"]]) == \
+            "914e3e4b4b5eebd5468744210ec88cccffd77122dc9d1250ec5ef9ef2b5b1298"

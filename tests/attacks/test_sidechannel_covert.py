@@ -9,31 +9,28 @@ import statistics
 
 import pytest
 
-from repro.attacks import (
-    observations_needed_from_samples,
-    run_coresidence_experiment,
-    run_covert_channel,
-)
+from repro.attacks import run_clock_probe, run_covert_channel
+from repro.stats.detection import observations_needed_from_samples
 
 
 @pytest.fixture(scope="module")
 def short_experiments():
-    baseline = run_coresidence_experiment(mediated=False, duration=12.0)
-    stopwatch = run_coresidence_experiment(mediated=True, duration=12.0)
+    baseline = run_clock_probe("none", duration=12.0)
+    stopwatch = run_clock_probe("stopwatch", duration=12.0)
     return baseline, stopwatch
 
 
 class TestCoresidenceDetection:
     def test_baseline_victim_shifts_distribution(self, short_experiments):
         baseline, _ = short_experiments
-        mean_victim = statistics.mean(baseline.samples_victim)
-        mean_control = statistics.mean(baseline.samples_control)
+        mean_victim = statistics.mean(baseline.samples_present)
+        mean_control = statistics.mean(baseline.samples_absent)
         assert abs(mean_victim - mean_control) / mean_control > 0.05
 
     def test_stopwatch_hides_the_shift(self, short_experiments):
         _, stopwatch = short_experiments
-        mean_victim = statistics.mean(stopwatch.samples_victim)
-        mean_control = statistics.mean(stopwatch.samples_control)
+        mean_victim = statistics.mean(stopwatch.samples_present)
+        mean_control = statistics.mean(stopwatch.samples_absent)
         assert abs(mean_victim - mean_control) / mean_control < 0.02
 
     def test_stopwatch_needs_many_more_observations(self,
@@ -51,7 +48,7 @@ class TestCoresidenceDetection:
 
     def test_no_divergences_during_attack(self, short_experiments):
         _, stopwatch = short_experiments
-        assert stopwatch.divergences == 0
+        assert stopwatch.meta["divergences"] == 0
 
 
 class TestObservationsFromSamples:

@@ -7,10 +7,11 @@ fast.
 
 import pytest
 
-from repro.analysis.flows import run_flow_workload
+from repro.analysis.observe import run_observed_workload
 
 
 @pytest.fixture(scope="session")
 def traced_sim():
     """One seeded echo+compute run with flow tracking on."""
-    return run_flow_workload(duration=1.0, seed=5)
+    sim, _ = run_observed_workload(duration=1.0, seed=5, flows=True)
+    return sim

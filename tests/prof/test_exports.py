@@ -112,10 +112,10 @@ class TestCounterEvents:
                                             "buckets": []}}) == []
 
     def test_counters_merge_into_a_valid_perfetto_trace(self, tmp_path):
-        from repro.analysis.flows import run_flow_workload
+        from repro.analysis.observe import run_observed_workload
         from repro.obs import export_perfetto, validate_file
 
-        sim = run_flow_workload(duration=0.5, seed=5)
+        sim, _ = run_observed_workload(duration=0.5, seed=5, flows=True)
         path = str(tmp_path / "merged.json")
         export_perfetto(sim.flows.store, path,
                         extra_events=counter_events(sample_summary()))
