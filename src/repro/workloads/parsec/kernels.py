@@ -124,6 +124,13 @@ class Canneal(ParsecWorkload):
         self.nets = [(rng.randrange(self.ELEMENTS),
                       rng.randrange(self.ELEMENTS))
                      for _ in range(self.NETS)]
+        # each element's net indices, ascending (PARSEC's canneal keeps
+        # per-element fan-in/fan-out lists): a swap rescores only these
+        self.incident = [[] for _ in range(self.ELEMENTS)]
+        for index, (a, b) in enumerate(self.nets):
+            self.incident[a].append(index)
+            if b != a:
+                self.incident[b].append(index)
         self.temperature = 50.0
         self.cost = self._total_cost()
 
@@ -141,12 +148,14 @@ class Canneal(ParsecWorkload):
             j = rng.randrange(self.ELEMENTS)
             if i == j:
                 continue
-            before = sum(self._wire_len(a, b) for a, b in self.nets
-                         if a in (i, j) or b in (i, j))
+            # each net once, summed in net order: float addition is
+            # not associative, so any other order changes ``delta``
+            touched = [self.nets[n] for n in
+                       sorted(set(self.incident[i] + self.incident[j]))]
+            before = sum(self._wire_len(a, b) for a, b in touched)
             self.positions[i], self.positions[j] = \
                 self.positions[j], self.positions[i]
-            after = sum(self._wire_len(a, b) for a, b in self.nets
-                        if a in (i, j) or b in (i, j))
+            after = sum(self._wire_len(a, b) for a, b in touched)
             delta = after - before
             if delta <= 0 or rng.random() < math.exp(
                     -delta / max(self.temperature, 1e-6)):

@@ -42,6 +42,8 @@ storage tenant fans one logical object out across all of them).
 """
 
 import difflib
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -261,6 +263,10 @@ def _parsec_check(tenant) -> Optional[str]:
     if tenant.clients:
         return ("parsec kernels are batch compute jobs; "
                 "set clients = 0")
+    scale = get(tenant.workload).params_for(tenant.workload_params)["scale"]
+    if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
+            or not math.isfinite(scale) or scale <= 0:
+        return f"scale must be a finite number > 0, got {scale!r}"
     return None
 
 

@@ -53,6 +53,17 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match="no client driver"):
             TenantSpec(name="a", workload="parsec.canneal", clients=1)
 
+    @pytest.mark.parametrize("scale", [0, -1.0, "1", float("nan"), True])
+    def test_bad_parsec_scale_rejected(self, scale):
+        with pytest.raises(ScenarioError, match="scale"):
+            TenantSpec(name="a", workload="parsec.canneal", clients=0,
+                       workload_params={"scale": scale})
+
+    def test_parsec_scale_accepted(self):
+        tenant = TenantSpec(name="a", workload="parsec.canneal", clients=0,
+                            workload_params={"scale": 0.5})
+        assert tenant.workload_params == {"scale": 0.5}
+
     def test_workload_params_accepted(self):
         tenant = TenantSpec(name="s", count=3, workload="storage",
                             workload_params={"k": 2, "n": 3})

@@ -1,5 +1,6 @@
 """Tests for the PARSEC-style kernels."""
 
+import math
 import random
 
 import pytest
@@ -41,14 +42,61 @@ class _Bench:
             self.rng = random.Random(seed)
 
     @classmethod
-    def compute_only(cls, kernel_cls):
+    def prepared(cls, kernel_cls, seed=5):
         kernel = kernel_cls.__new__(kernel_cls)
-        kernel.guest = cls.FakeGuest()
+        kernel.guest = cls.FakeGuest(seed)
         kernel.prepare()
+        return kernel
+
+    @classmethod
+    def compute_only(cls, kernel_cls):
+        kernel = cls.prepared(kernel_cls)
         total = 4
         for i in range(total):
             kernel.run_batch(i, total)
         return kernel.finish_result()
+
+
+class _FullScanCanneal(Canneal):
+    """Canneal scoring each swap by scanning the whole netlist.
+
+    The reference for the incidence index: every net touching ``i`` or
+    ``j`` is found by a filter over all of ``self.nets``.
+    """
+
+    def run_batch(self, index: int, total: int) -> None:
+        rng = self.rng
+        for _ in range(self.SWAPS_PER_BATCH):
+            i = rng.randrange(self.ELEMENTS)
+            j = rng.randrange(self.ELEMENTS)
+            if i == j:
+                continue
+            before = sum(self._wire_len(a, b) for a, b in self.nets
+                         if a in (i, j) or b in (i, j))
+            self.positions[i], self.positions[j] = \
+                self.positions[j], self.positions[i]
+            after = sum(self._wire_len(a, b) for a, b in self.nets
+                        if a in (i, j) or b in (i, j))
+            delta = after - before
+            if delta <= 0 or rng.random() < math.exp(
+                    -delta / max(self.temperature, 1e-6)):
+                self.cost += delta
+            else:
+                self.positions[i], self.positions[j] = \
+                    self.positions[j], self.positions[i]
+        self.temperature *= 0.9
+
+
+def _record_scored_nets(kernel):
+    """Log every ``(a, b)`` the kernel scores from now on, in order."""
+    scored, wire_len = [], kernel._wire_len
+
+    def recording(a, b):
+        scored.append((a, b))
+        return wire_len(a, b)
+
+    kernel._wire_len = recording
+    return scored
 
 
 class TestKernelComputations:
@@ -73,6 +121,38 @@ class TestKernelComputations:
         assert kernel.cost < initial
         # incremental cost tracking must agree with a recount
         assert kernel.cost == pytest.approx(kernel._total_cost(), rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_canneal_index_matches_full_scan(self, seed):
+        # the index must not move a bit: a reordered or double-counted
+        # net changes ``delta`` and with it every later acceptance draw
+        reference = _Bench.prepared(_FullScanCanneal, seed)
+        indexed = _Bench.prepared(Canneal, seed)
+        scored = [_record_scored_nets(reference),
+                  _record_scored_nets(indexed)]
+        for i in range(6):
+            reference.run_batch(i, 6)
+            indexed.run_batch(i, 6)
+        # the same nets, each once, in net order; a net joining i to j
+        # that is counted twice can leave ``cost`` bit-identical for
+        # dozens of batches before the runs part
+        assert scored[1] == scored[0]
+        assert indexed.cost == reference.cost
+        assert indexed.positions == reference.positions
+        assert indexed.temperature == reference.temperature
+        assert indexed.guest.rng.random() == reference.guest.rng.random()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_canneal_netlist_covers_index_edge_cases(self, seed):
+        kernel = _Bench.prepared(Canneal, seed)
+        nets = kernel.nets
+        assert any(a == b for a, b in nets)              # self-loop
+        assert len(set(nets)) < len(nets)                # duplicated net
+        assert len({e for net in nets for e in net}) \
+            < Canneal.ELEMENTS                           # no nets
+        assert kernel.incident == [
+            [n for n, net in enumerate(nets) if e in net]
+            for e in range(Canneal.ELEMENTS)]
 
     def test_dedup_finds_duplicates(self):
         unique, duplicates, compressed = _Bench.compute_only(Dedup)
@@ -107,6 +187,19 @@ class TestKernelRuns:
         _, vm = run_kernel(Ferret, DEFAULT)
         results = {workload.result for workload in vm.workloads}
         assert len(results) == 1
+
+    @pytest.mark.parametrize("name", sorted(PARSEC_KERNELS))
+    def test_results_agree_across_replicas_and_baseline(self, name):
+        cls = PARSEC_KERNELS[name]
+        results = []
+        for config in (DEFAULT, PASSTHROUGH):
+            collector, vm = run_kernel(cls, config)
+            replicas = [workload.result for workload in vm.workloads]
+            # the collector holds the one DONE datagram egress released
+            assert [result for _, _, result in collector.completions] \
+                == replicas[:1]
+            results += replicas
+        assert len(results) == 4 and len(set(results)) == 1
 
     def test_disk_interrupt_counts_scale(self):
         _, vm_small = run_kernel(BlackScholes, PASSTHROUGH, scale=0.2)
