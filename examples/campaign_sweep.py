@@ -17,32 +17,38 @@ from repro.campaign import (CampaignExecutor, CampaignSpec, ResultCache,
 
 SIZES = [1_000 * 10 ** i for i in range(3)]        # 1 kB .. 100 kB
 
-spec = CampaignSpec(
-    name="fig5-api-demo",
-    seeds={"base": 1, "count": 4},     # SHA-256-derived seed sweep
-    timeout=120.0,
-    retries=1,
-    sweeps=[
-        SweepSpec(
-            runner="fig5_file_download",
-            params={"trials": 1, "sim_until": 10.0},
-            grid={"sizes": [[size] for size in SIZES]},
-        ),
-    ],
-)
 
-cache = ResultCache(".campaigns/fig5-api-demo/cache")
-executor = CampaignExecutor(
-    spec, cache,
-    jobs=0,                            # 0 = one worker per core
-    manifest_path=".campaigns/fig5-api-demo/manifest.jsonl",
-)
-report = executor.run()
+def main() -> None:
+    spec = CampaignSpec(
+        name="fig5-api-demo",
+        seeds={"base": 1, "count": 4},     # SHA-256-derived seed sweep
+        timeout=120.0,
+        retries=1,
+        sweeps=[
+            SweepSpec(
+                runner="fig5_file_download",
+                params={"trials": 1, "sim_until": 10.0},
+                grid={"sizes": [[size] for size in SIZES]},
+            ),
+        ],
+    )
 
-print(f"\n{report.executed} executed, {report.cache_hits} cached, "
-      f"{len(report.failures)} failed "
-      f"({report.tasks_per_second:.2f} tasks/s)")
+    cache = ResultCache(".campaigns/fig5-api-demo/cache")
+    executor = CampaignExecutor(
+        spec, cache,
+        jobs=0,                            # 0 = one worker per core
+        manifest_path=".campaigns/fig5-api-demo/manifest.jsonl",
+    )
+    report = executor.run()
 
-store = ResultStore(report.results)
-print("\nAggregate over seeds (mean/stdev/p50/p95):\n")
-print(store.render_aggregate())
+    print(f"\n{report.executed} executed, {report.cache_hits} cached, "
+          f"{len(report.failures)} failed "
+          f"({report.tasks_per_second:.2f} tasks/s)")
+
+    store = ResultStore(report.results)
+    print("\nAggregate over seeds (mean/stdev/p50/p95):\n")
+    print(store.render_aggregate())
+
+
+if __name__ == "__main__":
+    main()

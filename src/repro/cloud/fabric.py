@@ -562,6 +562,15 @@ class Cloud:
         self._started = False
 
     def run(self, until: float) -> None:
-        """Convenience: start (if needed) and run the simulation."""
+        """Convenience: start (if needed) and run the simulation.
+
+        Raises the first replica's :class:`~repro.sim.errors.ProcessFailed`
+        when the guest engine of every replica of some VM failed; a VM
+        with a surviving replica keeps running on it.
+        """
         self.start()
         self.sim.run(until=until)
+        for vm in self.vms.values():
+            failures = [vmm.engine_failure for vmm in vm.vmms]
+            if all(failures):
+                raise failures[0]

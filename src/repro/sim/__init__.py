@@ -15,10 +15,9 @@ The public surface mirrors what the rest of the library needs:
 - :class:`Trace` -- an in-memory event recorder used by the experiment
   harnesses.
 
-A generator-process library (:class:`Process`, :class:`Timeout`,
-:class:`Channel`, :class:`Store`, :class:`Resource`) remains for
-callers that want coroutine-style activities; no simulation component
-uses it.
+The remains of a generator-process library (:class:`Process`,
+:class:`Timeout`, :class:`Channel`) are still exported; no simulation
+component uses them.
 """
 
 from repro.sim.errors import (
@@ -30,8 +29,7 @@ from repro.sim.errors import (
 from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Simulator, ScheduledCall
 from repro.sim.process import Process
-from repro.sim.channel import Channel, Store
-from repro.sim.resources import Resource
+from repro.sim.channel import Channel
 from repro.sim.rng import RngRegistry, derive_root_seed
 from repro.sim.monitor import (Trace, TraceRecord, MetricSet, Histogram,
                                JsonlSink, CategoryFilter, category_matches)
@@ -43,8 +41,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Channel",
-    "Store",
-    "Resource",
     "RngRegistry",
     "derive_root_seed",
     "Trace",

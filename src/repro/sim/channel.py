@@ -1,4 +1,4 @@
-"""FIFO channels and keyed stores for producer/consumer communication."""
+"""FIFO channels for producer/consumer communication."""
 
 from collections import deque
 
@@ -77,45 +77,3 @@ class Channel:
             f"<Channel {self.name} items={len(self._items)} "
             f"waiters={len(self._getters)}>"
         )
-
-
-class Store:
-    """A keyed rendezvous: getters wait for an item with a specific key.
-
-    Used where a response must be matched to its request (e.g. the VMM
-    proposal exchange matches proposals to packet sequence numbers).
-    """
-
-    def __init__(self, sim, name="store"):
-        self.sim = sim
-        self.name = name
-        self._items = {}
-        self._getters = {}
-
-    def put(self, key, item) -> None:
-        waiters = self._getters.pop(key, None)
-        if waiters:
-            event = waiters.popleft()
-            if waiters:
-                self._getters[key] = waiters
-            event.trigger(item)
-            return
-        self._items.setdefault(key, deque()).append(item)
-
-    def get(self, key) -> Event:
-        event = Event(self.sim)
-        bucket = self._items.get(key)
-        if bucket:
-            event.trigger(bucket.popleft())
-            if not bucket:
-                del self._items[key]
-        else:
-            self._getters.setdefault(key, deque()).append(event)
-        return event
-
-    def pending_keys(self):
-        """Keys with items waiting to be collected."""
-        return list(self._items.keys())
-
-    def __repr__(self) -> str:
-        return f"<Store {self.name} keys={len(self._items)}>"

@@ -6,8 +6,9 @@ class SimulationError(Exception):
 
 
 class ProcessFailed(SimulationError):
-    """A simulated activity (a joined process, or a replica's guest
-    engine) terminated with an exception.
+    """A replica's guest engine (or a joined process) terminated with an
+    exception: :attr:`repro.vmm.ReplicaVMM.engine_failure`, raised by
+    :meth:`repro.cloud.Cloud.run` once every replica of a VM has one.
 
     The original exception is available as ``__cause__``.
     """

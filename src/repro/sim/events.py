@@ -1,7 +1,7 @@
 """Waitables: one-shot events and timeouts.
 
-A *waitable* is anything a process may ``yield`` or a callback may
-``add_callback`` to.  The contract is small:
+A *waitable* is anything a callback may ``add_callback`` to (or a
+generator process may ``yield``).  The contract is small:
 
 - ``add_callback(fn)`` -- call ``fn(waitable)`` once triggered (immediately
   if already triggered);

@@ -179,6 +179,16 @@ class ReplicaVMM:
             self._engine_gen.close()
             self._engine_proc.trigger()
 
+    @property
+    def engine_failure(self) -> Optional[ProcessFailed]:
+        """The :class:`ProcessFailed` the current engine ended with (guest
+        code raised), or None.  Unrelated to :attr:`failed`, which means
+        the host crashed."""
+        ended = self._engine_proc
+        if ended is None or ended.ok:
+            return None
+        return ended.value
+
     # ------------------------------------------------------------------
     # guest-facing API (called synchronously from guest events)
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ from repro.cloud import Cloud
 from repro.core import DEFAULT, PASSTHROUGH
 from repro.net import UdpStack
 from repro.sim import Simulator, Trace
+from repro.sim.errors import ProcessFailed
 from repro.workloads import EchoServer
 
 
@@ -183,6 +184,36 @@ class TestLifecycle:
         harness.sim.run(until=3.0)
         assert all(vmm.running for vmm in harness.vm.vmms)
         assert len(harness.replies) > stopped_replies
+
+
+class _StartFails:
+    """A guest whose ``start()`` raises on the given replicas."""
+
+    def __init__(self, guest, failing):
+        self.replica_id = guest.vmm.replica_id
+        self.failing = failing
+
+    def start(self):
+        if self.replica_id in self.failing:
+            raise ValueError(f"guest start failed on r{self.replica_id}")
+
+
+class TestGuestFailure:
+    def test_every_replica_failing_raises(self):
+        sim, cloud = make_cloud(DEFAULT)
+        cloud.create_vm("doomed", lambda guest: _StartFails(guest, {0, 1, 2}))
+        with pytest.raises(ProcessFailed, match="doomed") as caught:
+            cloud.run(until=0.2)
+        assert isinstance(caught.value.__cause__, ValueError)
+
+    def test_one_failed_replica_does_not_raise(self):
+        sim, cloud = make_cloud(DEFAULT)
+        vm = cloud.create_vm("limping", lambda guest: _StartFails(guest, {0}))
+        cloud.run(until=0.2)
+        first, *siblings = vm.vmms
+        assert isinstance(first.engine_failure.__cause__, ValueError)
+        assert [vmm.engine_failure for vmm in siblings] == [None, None]
+        assert all(vmm.stats["vm_exits"] > 0 for vmm in siblings)
 
 
 class TestPlacement:

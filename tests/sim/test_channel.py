@@ -1,9 +1,8 @@
-"""Tests for channels and keyed stores."""
+"""Tests for FIFO channels."""
 
 import pytest
 
 from repro.sim import Channel, ChannelClosed, Simulator, SimulationError
-from repro.sim.channel import Store
 
 
 def test_put_then_get():
@@ -106,36 +105,3 @@ def test_channel_counters():
     assert chan.put_count == 2
     assert chan.got_count == 1
     assert len(chan) == 1
-
-
-def test_store_matches_by_key():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def waiter(key):
-        got.append((key, (yield store.get(key))))
-
-    sim.process(waiter("b"))
-    sim.process(waiter("a"))
-    sim.call_after(1.0, store.put, "a", "va")
-    sim.call_after(2.0, store.put, "b", "vb")
-    sim.run()
-    assert sorted(got) == [("a", "va"), ("b", "vb")]
-
-
-def test_store_buffers_unclaimed_items():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("k", 1)
-    store.put("k", 2)
-    got = []
-
-    def waiter():
-        got.append((yield store.get("k")))
-        got.append((yield store.get("k")))
-
-    sim.process(waiter())
-    sim.run()
-    assert got == [1, 2]
-    assert store.pending_keys() == []

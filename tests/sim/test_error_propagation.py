@@ -132,6 +132,8 @@ class TestHostDeathMidQuantum:
         assert not engine.ok
         failure = engine.value
         assert isinstance(failure, ProcessFailed)
+        assert failure.process is vmm
+        assert vmm.engine_failure is failure
         crash = failure.__cause__
         assert isinstance(crash, ThreadCrashed)
         assert "victim" in str(crash)
