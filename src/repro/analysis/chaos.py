@@ -14,8 +14,8 @@ runs the experiment twice and compares the signatures record for
 record.
 
 On top of the single scripted run sits the randomized **chaos
-campaign** (``repro chaos campaign``): :func:`run_chaos_cell` builds a
-fabric with spare capacity and an armed
+campaign** (the ``chaos.storm`` benchmark cell): :func:`run_chaos_cell`
+builds a fabric with spare capacity and an armed
 :class:`~repro.faults.heal.EvacuationController`, throws a seeded
 random fault storm at it (:meth:`FaultSchedule.seeded` -- orphaned
 crashes, permanent host condemnations, edge partitions), and gates the
@@ -27,8 +27,8 @@ through the campaign executor.
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.report import (divergence_note, first_divergence,
-                                   percentile)
+from repro.analysis.report import (first_divergence, percentile,
+                                   replay_verdict, trace_signature)
 from repro.core.config import RESILIENT
 from repro.faults import FaultInjector, FaultSchedule
 from repro.faults.schedule import FaultEvent
@@ -88,16 +88,9 @@ def run_chaos_experiment(seed: int = 7, duration: float = 3.0,
 
 
 def chaos_signature(trace: Trace) -> List[Tuple]:
-    """The run's deterministic signature: every fault/recovery/release
-    record, in global order, with full payloads."""
-    signature = []
-    for record in trace.iter_records(""):
-        if any(record.category == p.rstrip(".")
-               or record.category.startswith(p)
-               for p in SIGNATURE_PREFIXES):
-            signature.append((round(record.time, 9), record.category,
-                              tuple(sorted(record.payload.items()))))
-    return signature
+    """The run's deterministic signature: every fault/recovery/heal/
+    release record (:func:`~repro.analysis.report.trace_signature`)."""
+    return trace_signature(trace, SIGNATURE_PREFIXES)
 
 
 def determinism_check(seed: int = 7, duration: float = 3.0,
@@ -305,13 +298,9 @@ def run_chaos_cell(seed: int = 7, scenario: str = "single",
             f"(storm ramp + drain), got {duration}")
     result, signature = _cell_once(seed, scenario, duration, rate,
                                    profile=profile)
-    result["signature_records"] = len(signature)
-    result["deterministic"] = None
-    result["divergence"] = None
-    if check_determinism:
-        _, replay = _cell_once(seed, scenario, duration, rate)
-        result["divergence"] = divergence_note(signature, replay)
-        result["deterministic"] = result["divergence"] is None
+    replay = (_cell_once(seed, scenario, duration, rate)[1]
+              if check_determinism else None)
+    result.update(replay_verdict(signature, replay))
     result["ok"] = (not result["violations"]
                     and result["deterministic"] is not False)
     return result
@@ -428,6 +417,35 @@ def chaos_metrics(summary: dict) -> dict:
     metrics = {key: summary.get(key) for key in _ENTRY_METRICS}
     metrics["violations"] = len(summary.get("violations", ()))
     return metrics
+
+
+def chaos_report(summary: dict) -> List[str]:
+    """The printed summary of a ``chaos.storm`` campaign: healing,
+    service, and the invariant verdict with every violation."""
+    recovery = ("no recoveries needed" if summary["recovery_p50"] is None
+                else f"recovery p50 {summary['recovery_p50']:.3f}s "
+                     f"p95 {summary['recovery_p95']:.3f}s")
+    lines = [
+        f"Chaos campaign: {summary['cells']} cells, "
+        f"{summary['faults_injected']} faults injected "
+        f"({summary['noops']} no-ops) in "
+        f"{summary['wall_seconds']:.1f}s wall",
+        f"Healing: {summary['evacuations']} evacuations, "
+        f"{summary['rejoins']} in-place rejoins, "
+        f"{summary['readmits']} readmits, "
+        f"{summary['heal_failures']} gave up; {recovery}",
+        f"Service: {summary['replies']}/{summary['sent']} pings "
+        f"answered, {summary['client_retries']} client retries"]
+    if summary["ok"]:
+        replayed = all(cell["deterministic"] for cell in summary["results"])
+        return lines + [
+            f"Invariants: PASS -- placement, liveness and hygiene held in "
+            f"all {summary['cells']} cells"
+            + ("; all signatures replayed byte-identical" if replayed
+               else "")]
+    return lines + [f"Invariants: FAIL -- {len(summary['violations'])} "
+                    f"violations:"] + [
+        f"  {violation}" for violation in summary["violations"]]
 
 
 def service_summary(result: dict) -> dict:

@@ -1,4 +1,4 @@
-"""The mitigation frontier behind ``repro mitigate``.
+"""The mitigation frontier behind the ``mitigation.frontier`` benchmark.
 
 One cell = one (policy, attack, seed) triple: run the attack's
 absent/present pair under the policy (:mod:`repro.attacks.probes`,
@@ -19,7 +19,7 @@ byte-identity per policy is one string comparison.
 import hashlib
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.report import percentile
+from repro.analysis.report import format_table, percentile
 
 #: the shipped policy family, cheapest protection first
 POLICY_NAMES = ("none", "uniform-noise", "deterland", "stopwatch")
@@ -216,6 +216,29 @@ def mitigation_metrics(summary: dict) -> dict:
             metrics["margin_bits"] = round(
                 gate["baseline_bits"] - gate["mitigated_bits"], 6)
     return metrics
+
+
+def frontier_report(summary: dict) -> List[str]:
+    """The printed summary of a ``mitigation.frontier`` sweep: the
+    leakage-vs-overhead table, the gate verdict and every failed
+    cell."""
+    rows = [(row["policy"], row["attack"],
+             "-" if row["mi_bits"] is None else f"{row['mi_bits']:.4f}",
+             "-" if row["capacity_bits"] is None
+             else f"{row['capacity_bits']:.4f}",
+             "-" if row["overhead_x"] is None
+             else f"{row['overhead_x']:.2f}x")
+            for row in summary["rows"]]
+    gate = summary["gate"]
+    verdict = (f"Gate ({gate['attack']}): "
+               f"{'PASS' if gate['ok'] else 'FAIL'}" if gate["checked"]
+               else "Gate: skipped")
+    return [f"Mitigation frontier: {summary['cells']} cells in "
+            f"{summary['wall_seconds']:.1f}s wall",
+            format_table(["policy", "attack", "MI (bits)", "capacity",
+                          "overhead"], rows),
+            f"{verdict} -- {gate['detail']}"] + [
+        f"  cell failed: {failure}" for failure in summary["failures"]]
 
 
 def policy_signature(policy, seed: int = 5, duration: float = 3.0,

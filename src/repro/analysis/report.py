@@ -1,9 +1,9 @@
 """Plain-text table rendering and small summaries for experiment
 output."""
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.monitor import MetricSet
+from repro.sim.monitor import MetricSet, Trace
 
 
 def _fmt(value: Any) -> str:
@@ -82,3 +82,27 @@ def divergence_note(a: Sequence, b: Sequence) -> Optional[str]:
     if index == min(len(a), len(b)):
         return f"lengths differ: {len(a)} vs {len(b)}"
     return f"record {index}: {record_a!r} != {record_b!r}"
+
+
+def trace_signature(trace: Trace, prefixes: Sequence[str]) -> List[Tuple]:
+    """A run's deterministic signature: every record whose category
+    starts with one of ``prefixes`` (``"fault."`` also matches a bare
+    ``"fault"``), in global order, with full payloads."""
+    return [(round(record.time, 9), record.category,
+             tuple(sorted(record.payload.items())))
+            for record in trace.iter_records("")
+            if any(record.category == prefix.rstrip(".")
+                   or record.category.startswith(prefix)
+                   for prefix in prefixes)]
+
+
+def replay_verdict(signature: Sequence,
+                   replay: Optional[Sequence]) -> Dict[str, Any]:
+    """A cell's determinism keys against its same-seed ``replay``
+    signature: ``divergence`` (:func:`divergence_note`) and
+    ``deterministic`` are ``None`` when the cell was not replayed."""
+    divergence = None if replay is None \
+        else divergence_note(signature, replay)
+    return {"signature_records": len(signature),
+            "deterministic": None if replay is None else divergence is None,
+            "divergence": divergence}

@@ -1,7 +1,7 @@
 """Storage-repair cell: erasure-coded tenant under a host crash.
 
 The ``storage_repair`` campaign runner (and the ``storage.repair``
-benchmark behind ``repro bench run`` / ``repro storage``) deploys one
+benchmark cell of ``repro bench run``) deploys one
 k-of-n erasure-coded storage tenant through the workload registry,
 runs the closed PUT/GET/verify loop, condemns one share-holding host
 mid-run, and checks that the whole self-healing stack converges:
@@ -27,7 +27,7 @@ the suite.
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.report import divergence_note
+from repro.analysis.report import replay_verdict, trace_signature
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
@@ -64,19 +64,6 @@ def build_storage_spec(k: int = 2, n: int = 3,
             name="store", count=n, workload="storage", clients=clients,
             workload_params={"k": k, "n": n, "object_size": object_size,
                              "objects": objects})])
-
-
-def storage_signature(trace: Trace) -> List[Tuple]:
-    """Deterministic signature: fault/heal/storage/release records in
-    global order with full payloads (same shape as the chaos cells)."""
-    signature = []
-    for record in trace.iter_records(""):
-        if any(record.category == prefix.rstrip(".")
-               or record.category.startswith(prefix)
-               for prefix in SIGNATURE_PREFIXES):
-            signature.append((round(record.time, 9), record.category,
-                              tuple(sorted(record.payload.items()))))
-    return signature
 
 
 def live_share_report(built, tenant: str = "store") -> Dict[str, int]:
@@ -187,7 +174,7 @@ def _cell_once(seed: int, duration: float, k: int, n: int,
             loop_seconds=sim.wall_seconds,
             total_seconds=_time.perf_counter() - cell_started,
             release_times=trace.times("egress.release"))
-    return result, storage_signature(trace)
+    return result, trace_signature(trace, SIGNATURE_PREFIXES)
 
 
 def run_storage_repair_cell(seed: int = 7, duration: float = 6.0,
@@ -211,14 +198,9 @@ def run_storage_repair_cell(seed: int = 7, duration: float = 6.0,
             f"got {duration}")
     result, signature = _cell_once(seed, duration, k, n, object_size,
                                    objects, crash_at, profile=profile)
-    result["signature_records"] = len(signature)
-    result["deterministic"] = None
-    result["divergence"] = None
-    if check_determinism:
-        _, replay = _cell_once(seed, duration, k, n, object_size,
-                               objects, crash_at)
-        result["divergence"] = divergence_note(signature, replay)
-        result["deterministic"] = result["divergence"] is None
+    replay = (_cell_once(seed, duration, k, n, object_size, objects,
+                         crash_at)[1] if check_determinism else None)
+    result.update(replay_verdict(signature, replay))
     result["ok"] = (not result["violations"]
                     and result["objects_stored"] > 0
                     and result["min_live_shares"] == n
@@ -251,3 +233,31 @@ def storage_metrics(result: dict) -> dict:
     metrics = {key: result.get(key) for key in _ENTRY_METRICS}
     metrics["violations"] = len(result.get("violations", ()))
     return metrics
+
+
+def storage_report(result: dict) -> List[str]:
+    """The printed summary of a ``storage.repair`` cell: client, repair
+    and share lines, the replay verdict and every violation."""
+    lines = [
+        f"Storage repair cell: {result['k']}-of-{result['n']} over "
+        f"{result['objects_stored']} x {result['object_size']} B objects; "
+        f"host {result['victim_host']} condemned at "
+        f"t={result['crash_at']}s",
+        f"  client: {result['puts_completed']} puts, "
+        f"{result['gets_completed']} gets, "
+        f"{result['verify_failures']} verify failures, "
+        f"{result['client_retries']} retries",
+        f"  repair: {result['repairs_completed']}/"
+        f"{result['repairs_started']} completed, "
+        f"{result['repaired_bytes']} B reconstructed "
+        f"({result['repaired_bytes_per_sim_s']:.0f} B/sim-s); "
+        f"healer: {result['evacuations']} evacuations",
+        f"  shares: min {result['min_live_shares']}/{result['n']} live "
+        f"per object, digests "
+        f"{'verified' if result['shares_verified'] else 'MISMATCH'}"]
+    if result["deterministic"] is not None:
+        lines.append(f"  determinism: "
+                     f"{'PASS' if result['deterministic'] else 'FAIL'} "
+                     f"({result['signature_records']} signature records)")
+    return lines + [f"  violation: {violation}"
+                    for violation in result["violations"]]

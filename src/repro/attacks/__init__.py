@@ -31,7 +31,7 @@ from repro.attacks.probes import (
 )
 from repro.attacks.scheduler import TheftProbe, run_scheduler_theft
 
-#: attack name -> runner, the suite ``repro mitigate`` sweeps.  Every
+#: attack name -> runner, the suite the frontier sweeps.  Every
 #: runner shares the signature ``(policy=..., duration=..., seed=...,
 #: workload=..., **knobs) -> AttackResult``.
 ATTACK_SUITE = {

@@ -8,7 +8,7 @@ observable under each as an :class:`AttackResult`.  Leakage is the
 mutual information between the condition bit and one observation
 (:mod:`repro.stats.mi`); the chi-squared detection curve is Fig. 4(b);
 the victim's client latencies in the present condition are the
-overhead axis of ``repro mitigate``.
+overhead axis of the mitigation frontier.
 
 Each attack runner is its ``deploy`` closure (which wires the attacker
 side of one condition's cloud) handed to the pair:

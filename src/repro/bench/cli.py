@@ -7,9 +7,10 @@ Subcommands::
     repro bench history [--path BENCH_kernel.json]
     repro bench list
 
-``run`` executes a benchmark cell, appends one schema-versioned entry
-to the family trajectory and reports the regression gate against the
-prior entries (the freshly appended entry never gates against itself).
+``run`` executes a benchmark cell, prints the cell's report, appends
+one schema-versioned entry to the family trajectory and reports the
+regression gate against the prior entries (the freshly appended entry
+never gates against itself).
 ``compare`` re-gates the *last* recorded entry against its history --
 that is the CI job's cheap post-hoc check.  Both exit non-zero on a
 regression; ``--gate`` additionally fails when there is no comparable
@@ -19,6 +20,7 @@ false).
 """
 
 import argparse
+import inspect
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -89,13 +91,26 @@ def _gate_report(gate: Dict[str, Any], strict: bool) -> bool:
 
 
 def cmd_bench_run(args) -> None:
-    from repro.bench import (append_entry, compare_entry, default_path,
-                             empty_trajectory, load_trajectory,
-                             run_benchmark)
+    from repro.bench import (append_entry, bench_plan, cell_entry,
+                             compare_entry, default_path,
+                             empty_trajectory, load_trajectory)
+    from repro.bench.registry import load
 
-    overrides = _parse_set(args.set)
-    entry = run_benchmark(args.benchmark, label=args.label,
-                          profile=args.profile, overrides=overrides)
+    cell, kwargs, config = bench_plan(args.benchmark, _parse_set(args.set))
+    runner = cell.resolve()
+    takes = inspect.signature(runner).parameters
+    if args.profile_out and not args.profile:
+        raise SystemExit("--profile-out requires --profile")
+    if args.profile_out and "profile" not in takes:
+        raise SystemExit(f"--profile-out: benchmark {args.benchmark!r} "
+                         f"takes no --profile")
+    if args.profile and "profile" in takes:
+        kwargs["profile"] = True
+    if "progress" in takes and not args.json:
+        kwargs["progress"] = print
+    result = runner(**kwargs)
+    entry = cell_entry(args.benchmark, result, config=config,
+                       label=args.label)
     path = args.output or default_path(args.benchmark)
     prior = load_trajectory(path) or empty_trajectory()
     gate = compare_entry(entry, prior, tolerance=args.tolerance)
@@ -105,21 +120,23 @@ def cmd_bench_run(args) -> None:
     if args.profile_out:
         profile = entry.get("profile")
         if not profile:
-            raise SystemExit(
-                f"--profile-out needs a profile; run with --profile "
-                f"(benchmark {args.benchmark!r} produced none)")
+            raise SystemExit(f"--profile-out: benchmark "
+                             f"{args.benchmark!r} produced no profile")
         from repro.prof.export import write_speedscope
         write_speedscope(args.profile_out, profile, name=args.benchmark)
 
     cell_failed = entry["metrics"].get("ok") is False
     if args.json:
         print(json.dumps({"entry": entry, "gate": gate,
-                          "path": None if args.no_write else path},
-                         indent=2))
+                          "path": None if args.no_write else path,
+                          "result": result}, indent=2, default=repr))
         if not gate["ok"] or (args.gate and not gate["checked"]) \
                 or cell_failed:
             raise SystemExit(1)
     else:
+        if cell.report:
+            for line in load(cell.report)(result):
+                print(line)
         metric = entry.get("primary_metric")
         value = entry["metrics"].get(metric) if metric else None
         headline = (f"{metric}={value:g}" if isinstance(

@@ -1,5 +1,5 @@
 """The cell table: one name -> one runner, its benchmark defaults, its
-entry producer and its pass/fail gate.
+entry producer, its pass/fail gate and its printed report.
 
 Campaign sweeps (``repro campaign``) and benchmarks (``repro bench
 run``) both dispatch through :data:`CELLS`.  A runner is a
@@ -45,6 +45,7 @@ class Cell:
     primary: Optional[str] = None    # primary metric, when produced
     gate: str = "ok"                 # result key holding the verdict
     scaled: Optional[str] = None     # param bound to an id's <N>
+    report: Optional[str] = None     # "module:function": result -> lines
 
     def resolve(self) -> Callable:
         return load(self.runner)
@@ -87,20 +88,23 @@ CELLS: Dict[str, Cell] = {
         "repro.analysis.chaos:run_chaos_campaign",
         params={"seeds": 2, "seed_base": 101, "scenarios": ("single",),
                 "duration": 3.0, "rate": 1.2, "jobs": 1},
-        metrics="repro.analysis.chaos:chaos_metrics", primary="replies"),
+        metrics="repro.analysis.chaos:chaos_metrics", primary="replies",
+        report="repro.analysis.chaos:chaos_report"),
     "mitigation.frontier": Cell(
         "repro.analysis.mitigation:mitigation_frontier",
         params={"policies": ("stopwatch", "none"), "attacks": ("probe",),
                 "duration": 3.0, "seeds": 1, "seed_base": 7, "bins": 10,
                 "workload": "fileserver", "jobs": 1},
         metrics="repro.analysis.mitigation:mitigation_metrics",
-        primary="margin_bits"),
+        primary="margin_bits",
+        report="repro.analysis.mitigation:frontier_report"),
     "storage.repair": Cell(
         "repro.analysis.storage:run_storage_repair_cell",
         params={"seed": 7, "duration": 6.0, "k": 2, "n": 3,
                 "object_size": 8192, "objects": 3, "crash_at": 1.2},
         metrics="repro.analysis.storage:storage_metrics",
-        primary="repaired_bytes_per_sim_s"),
+        primary="repaired_bytes_per_sim_s",
+        report="repro.analysis.storage:storage_report"),
 }
 
 

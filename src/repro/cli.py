@@ -17,9 +17,11 @@ Usage::
     python -m repro spans   [--perfetto out.json] [--validate]
     python -m repro flows   [--flow echo/3] [--top-k 10]
     python -m repro chaos   [--check-determinism] [--crash-at 0.9]
-    python -m repro mitigate [--policies none,stopwatch] [--attacks probe]
     python -m repro scale   [--tenants 1,8,32] [--shards 2] [--spec s.toml]
     python -m repro bench run --benchmark kernel.scale32 [--profile]
+    python -m repro bench run --benchmark chaos.storm [--set seeds=7]
+    python -m repro bench run --benchmark mitigation.frontier --no-write
+    python -m repro bench run --benchmark storage.repair [--set k=3]
     python -m repro bench compare --path BENCH_kernel.json --gate
     python -m repro bench history --path BENCH_kernel.json
     python -m repro campaign run examples/fig5_sweep.toml --jobs 0
@@ -27,6 +29,12 @@ Usage::
     python -m repro campaign resume examples/fig5_sweep.toml
     python -m repro campaign aggregate examples/fig5_sweep.toml
     python -m repro list
+
+The gated cells -- ``kernel.scale<N>``, ``chaos.storm``,
+``mitigation.frontier`` and ``storage.repair`` -- run only through
+``repro bench run``: their defaults live in one place, the cell table
+(:mod:`repro.bench.registry`), and ``--set key=value`` overrides any
+of them.
 """
 
 import argparse
@@ -216,6 +224,8 @@ def cmd_spans(args) -> None:
     from repro.analysis.observe import run_observed_workload
     from repro.obs import export_perfetto, validate_file
 
+    if args.validate and not args.perfetto:
+        raise SystemExit("--validate requires --perfetto OUT")
     started = _time.perf_counter()
     sim, _ = run_observed_workload(duration=args.duration, seed=args.seed,
                                    profile=args.profile, flows=True)
@@ -256,8 +266,6 @@ def cmd_spans(args) -> None:
                 raise SystemExit(1)
             print("Validation: PASS (parses, pid/tid/ts/dur present, "
                   "critical stages sum to end-to-end)")
-    elif args.validate:
-        raise SystemExit("--validate requires --perfetto OUT")
 
 
 def cmd_flows(args) -> None:
@@ -297,14 +305,10 @@ def cmd_flows(args) -> None:
 
 
 def cmd_chaos(args) -> None:
-    if args.mode == "campaign":
-        return cmd_chaos_campaign(args)
     from repro.analysis import format_table
     from repro.analysis.chaos import (chaos_signature, chaos_timeline_rows,
                                       default_schedule, determinism_check,
                                       run_chaos_experiment, service_summary)
-    if args.duration is None:
-        args.duration = 3.0
     schedule = default_schedule(crash_at=args.crash_at,
                                 restart_at=args.restart_at,
                                 replica=args.replica)
@@ -345,139 +349,27 @@ def cmd_chaos(args) -> None:
             raise SystemExit(1)
 
 
-def cmd_chaos_campaign(args) -> None:
-    from repro.analysis.chaos import CELL_SCENARIOS, run_chaos_campaign
-    from repro.sim.rng import derive_root_seed
-
-    scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    unknown = sorted(set(scenarios) - set(CELL_SCENARIOS))
-    if unknown:
-        raise SystemExit(f"unknown chaos scenarios {unknown}; "
-                         f"choose from {list(CELL_SCENARIOS)}")
-    seeds = [derive_root_seed(args.seed_base, i) for i in range(args.seeds)]
-    duration = args.duration if args.duration is not None else 6.0
-    progress = None if args.json else print
-    summary = run_chaos_campaign(seeds=seeds, scenarios=scenarios,
-                                 duration=duration, rate=args.rate,
-                                 jobs=args.jobs, profile=args.profile,
-                                 progress=progress)
-    if args.profile_out:
-        if not summary.get("profile"):
-            raise SystemExit("--profile-out requires --profile")
-        from repro.prof.export import write_speedscope
-        write_speedscope(args.profile_out, summary["profile"],
-                         name="chaos campaign")
-        if not args.json:
-            print(f"wrote speedscope profile to {args.profile_out}")
-    if args.json:
-        print(json.dumps(summary, indent=2, default=repr))
-    else:
-        print(f"\nChaos campaign: {summary['cells']} cells "
-              f"({args.seeds} seeds x {len(scenarios)} scenarios), "
-              f"{summary['faults_injected']} faults injected "
-              f"({summary['noops']} no-ops) in "
-              f"{summary['wall_seconds']:.1f}s wall")
-        recovery = ("no recoveries needed"
-                    if summary["recovery_p50"] is None else
-                    f"recovery p50 {summary['recovery_p50']:.3f}s "
-                    f"p95 {summary['recovery_p95']:.3f}s")
-        print(f"Healing: {summary['evacuations']} evacuations, "
-              f"{summary['rejoins']} in-place rejoins, "
-              f"{summary['readmits']} readmits, "
-              f"{summary['heal_failures']} gave up; {recovery}")
-        print(f"Service: {summary['replies']}/{summary['sent']} pings "
-              f"answered, {summary['client_retries']} client retries")
-        if summary.get("profile"):
-            from repro.bench.cli import profile_lines
-            for line in profile_lines(summary["profile"]):
-                print(line)
-        if summary["ok"]:
-            print(f"Invariants: PASS -- placement, liveness and hygiene "
-                  f"held in all {summary['cells']} cells; "
-                  f"all signatures replayed byte-identical")
-        else:
-            print(f"Invariants: FAIL -- "
-                  f"{len(summary['violations'])} violations:")
-            for violation in summary["violations"]:
-                print(f"  {violation}")
-    if not summary["ok"]:
-        raise SystemExit(1)
-
-
-def cmd_mitigate(args) -> None:
-    from repro.analysis import format_table
-    from repro.analysis.mitigation import ATTACK_NAMES, mitigation_frontier
-    from repro.mitigation import POLICIES
-    from repro.sim.rng import derive_root_seed
-
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    attacks = [a.strip() for a in args.attacks.split(",") if a.strip()]
-    unknown = sorted(set(policies) - set(POLICIES))
-    if unknown:
-        raise SystemExit(f"unknown policies {unknown}; "
-                         f"choose from {sorted(POLICIES)}")
-    unknown = sorted(set(attacks) - set(ATTACK_NAMES))
-    if unknown:
-        raise SystemExit(f"unknown attacks {unknown}; "
-                         f"choose from {list(ATTACK_NAMES)}")
-    seeds = [derive_root_seed(args.seed_base, i)
-             for i in range(args.seeds)]
-    progress = None if args.json else print
-    summary = mitigation_frontier(
-        policies=policies, attacks=attacks, duration=args.duration,
-        seeds=seeds, bins=args.bins, workload=args.workload,
-        jobs=args.jobs, progress=progress)
-    if args.json:
-        print(json.dumps(summary, indent=2, default=repr))
-    else:
-        print(f"\nMitigation frontier: {summary['cells']} cells "
-              f"({len(policies)} policies x {len(attacks)} attacks x "
-              f"{args.seeds} seeds) in "
-              f"{summary['wall_seconds']:.1f}s wall")
-        rows = [(row["policy"], row["attack"],
-                 f"{row['mi_bits']:.4f}" if row["mi_bits"] is not None
-                 else "-",
-                 f"{row['capacity_bits']:.4f}"
-                 if row["capacity_bits"] is not None else "-",
-                 f"{row['overhead_x']:.2f}x"
-                 if row["overhead_x"] is not None else "-")
-                for row in summary["rows"]]
-        print(format_table(["policy", "attack", "MI (bits)",
-                            "capacity", "overhead"], rows))
-        gate = summary["gate"]
-        if gate["checked"]:
-            print(f"Gate ({gate['attack']}): "
-                  f"{'PASS' if gate['ok'] else 'FAIL'} -- "
-                  f"{gate['detail']}")
-        else:
-            print(f"Gate: skipped -- {gate['detail']}")
-        for failure in summary["failures"]:
-            print(f"  cell failed: {failure}")
-    if not summary["ok"]:
-        raise SystemExit(1)
-
-
 def cmd_scale(args) -> None:
     from repro.analysis import format_table
-    from repro.analysis.scale import (build_scale_spec, run_scale_cell,
-                                      scale_sweep)
+    from repro.analysis.scale import build_scale_spec, run_scale_cell
     from repro.bench.cli import _parse_set
     from repro.cloud.scenario import ScenarioSpec
 
-    workload_params = _parse_set(args.workload_param)
+    if args.profile_out and not args.profile:
+        raise SystemExit("--profile-out requires --profile")
     if args.spec:
-        spec = ScenarioSpec.from_file(args.spec)
+        specs = [ScenarioSpec.from_file(args.spec)]
         if args.shards is not None:
-            spec.shards = args.shards
-        rows = [run_scale_cell(spec, duration=args.duration,
-                               seed=args.seed, profile=args.profile)]
+            specs[0].shards = args.shards
     else:
-        rows = scale_sweep(
-            tenant_counts=_ints(args.tenants), duration=args.duration,
-            seed=args.seed, shards=args.shards or 1,
-            workload=args.workload, clients_per_tenant=args.clients,
-            request_rate=args.rate, machines=args.machines,
-            profile=args.profile, workload_params=workload_params)
+        workload_params = _parse_set(args.workload_param)
+        specs = [build_scale_spec(
+            tenants, shards=args.shards or 1, workload=args.workload,
+            clients_per_tenant=args.clients, request_rate=args.rate,
+            machines=args.machines, workload_params=workload_params)
+            for tenants in _ints(args.tenants)]
+    rows = [run_scale_cell(spec, duration=args.duration, seed=args.seed,
+                           profile=args.profile) for spec in specs]
 
     print("Multi-tenant scale sweep (mediation = ingress admission -> "
           "egress release)")
@@ -504,8 +396,6 @@ def cmd_scale(args) -> None:
             write_speedscope(args.profile_out, merged, name="repro scale")
             print(f"wrote speedscope profile to {args.profile_out} "
                   f"(open in https://www.speedscope.app)")
-    elif args.profile_out:
-        raise SystemExit("--profile-out requires --profile")
 
     failed = False
     for row in rows:
@@ -519,18 +409,7 @@ def cmd_scale(args) -> None:
     if not args.once:
         # same-seed re-run: the egress release schedule must be
         # byte-identical (the determinism claim, end to end)
-        for row in rows:
-            if args.spec:
-                spec = ScenarioSpec.from_file(args.spec)
-                if args.shards is not None:
-                    spec.shards = args.shards
-            else:
-                spec = build_scale_spec(
-                    row["tenants"], shards=args.shards or 1,
-                    workload=args.workload,
-                    clients_per_tenant=args.clients,
-                    request_rate=args.rate, machines=args.machines,
-                    workload_params=workload_params)
+        for spec, row in zip(specs, rows):
             rerun = run_scale_cell(spec, duration=args.duration,
                                    seed=args.seed)
             if rerun["egress_signature"] != row["egress_signature"]:
@@ -572,47 +451,6 @@ def cmd_workloads(args) -> None:
           ",".join(str(port) for port in spec.ports) or "-",
           "yes" if spec.driver is not None else "no",
           spec.description) for spec in specs]))
-
-
-def cmd_storage(args) -> None:
-    from repro.analysis.storage import run_storage_repair_cell
-
-    result = run_storage_repair_cell(
-        seed=args.seed, duration=args.duration, k=args.k, n=args.n,
-        object_size=args.object_size, objects=args.objects,
-        crash_at=args.crash_at, check_determinism=not args.once,
-        profile=args.profile)
-    if args.json:
-        print(json.dumps(result, indent=2, default=repr))
-    else:
-        print(f"Storage repair cell: {args.k}-of-{args.n} over "
-              f"{result['objects_stored']} x {args.object_size} B "
-              f"objects; host {result['victim_host']} condemned at "
-              f"t={args.crash_at}s")
-        print(f"  client: {result['puts_completed']} puts, "
-              f"{result['gets_completed']} gets, "
-              f"{result['verify_failures']} verify failures, "
-              f"{result['client_retries']} retries")
-        print(f"  repair: {result['repairs_completed']}/"
-              f"{result['repairs_started']} completed, "
-              f"{result['repaired_bytes']} B reconstructed "
-              f"({result['repaired_bytes_per_sim_s']:.0f} B/sim-s); "
-              f"healer: {result['evacuations']} evacuations")
-        print(f"  shares: min {result['min_live_shares']}/{args.n} "
-              f"live per object, digests "
-              f"{'verified' if result['shares_verified'] else 'MISMATCH'}")
-        if result["deterministic"] is not None:
-            print(f"  determinism: "
-                  f"{'PASS' if result['deterministic'] else 'FAIL'} "
-                  f"({result['signature_records']} signature records)")
-        for violation in result["violations"]:
-            print(f"  violation: {violation}")
-    if args.profile and result.get("profile"):
-        from repro.bench.cli import profile_lines
-        for line in profile_lines(result["profile"]):
-            print(line)
-    if not result["ok"]:
-        raise SystemExit(1)
 
 
 def cmd_list(args) -> None:
@@ -718,72 +556,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_flows)
 
     p = sub.add_parser("chaos", help="crash/recover a replica mid-run "
-                                     "under load; or 'chaos campaign': "
-                                     "randomized invariant-gated storms "
-                                     "across seeds x scenarios")
-    p.add_argument("mode", nargs="?", choices=["campaign"],
-                   help="omit for the single scripted run; 'campaign' "
-                        "sweeps seeded random storms and gates on "
-                        "placement/liveness/hygiene invariants")
+                                     "under load")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds per run (default: 3 for the "
-                        "scripted run, 6 per campaign cell)")
+    p.add_argument("--duration", type=float, default=3.0)
     p.add_argument("--crash-at", type=float, default=0.9)
     p.add_argument("--restart-at", type=float, default=2.0)
     p.add_argument("--replica", type=int, default=2,
                    help="echo replica id to crash")
     p.add_argument("--check-determinism", action="store_true",
                    help="run twice with the same seed and compare "
-                        "fault/recovery/heal/release signatures "
-                        "(campaign cells always do this)")
-    p.add_argument("--seeds", type=_positive_int, default=7,
-                   help="campaign: number of derived storm seeds")
-    p.add_argument("--seed-base", type=int, default=101,
-                   help="campaign: base for seed derivation")
-    p.add_argument("--scenarios", default=",".join(
-                       ("single", "multi", "sharded")),
-                   help="campaign: comma-separated cell scenarios")
-    p.add_argument("--rate", type=float, default=1.2,
-                   help="campaign: storm fault rate (faults/s)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="campaign: worker processes")
-    p.add_argument("--json", action="store_true",
-                   help="campaign: print the full summary as JSON")
-    p.add_argument("--profile", action="store_true",
-                   help="campaign: profile each cell's primary run and "
-                        "report merged subsystem CPU attribution "
-                        "(measurement-only)")
-    p.add_argument("--profile-out", default=None, metavar="JSON",
-                   help="campaign: write the merged profile as "
-                        "speedscope JSON (requires --profile)")
+                        "fault/recovery/heal/release signatures")
     p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser("mitigate", help="leakage-vs-overhead frontier: "
-                                        "mitigation policies x attack "
-                                        "probes through the campaign "
-                                        "executor")
-    p.add_argument("--policies", default="none,uniform-noise,deterland,"
-                                         "stopwatch",
-                   help="comma-separated mitigation policies")
-    p.add_argument("--attacks", default="probe,theft,clocks",
-                   help="comma-separated attack probes")
-    p.add_argument("--duration", type=float, default=12.0,
-                   help="simulated seconds per attack condition")
-    p.add_argument("--seeds", type=_positive_int, default=1,
-                   help="number of derived seeds per cell")
-    p.add_argument("--seed-base", type=int, default=7,
-                   help="base for seed derivation")
-    p.add_argument("--bins", type=_positive_int, default=10,
-                   help="histogram bins for the MI estimator")
-    p.add_argument("--workload", default="fileserver",
-                   choices=["fileserver", "echo"],
-                   help="victim workload")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes")
-    p.add_argument("--json", action="store_true",
-                   help="print the full summary as JSON")
-    p.set_defaults(fn=cmd_mitigate)
 
     p = sub.add_parser("scale", help="multi-tenant fleet scaling: "
                                      "throughput and mediation delay vs "
@@ -828,33 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the registry as JSON")
     p.set_defaults(fn=cmd_workloads)
-
-    p = sub.add_parser("storage", help="erasure-coded storage tenant "
-                                       "under a host crash: k-of-n "
-                                       "share repair across the "
-                                       "mediated fabric, invariant-"
-                                       "gated")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--duration", type=float, default=6.0,
-                   help="simulated seconds (includes a 1.5s drain)")
-    p.add_argument("--k", type=_positive_int, default=2,
-                   help="data shares per object")
-    p.add_argument("--n", type=_positive_int, default=3,
-                   help="total shares == tenant VMs")
-    p.add_argument("--object-size", type=_positive_int, default=8192,
-                   help="bytes per stored object")
-    p.add_argument("--objects", type=_positive_int, default=3,
-                   help="objects in the client's working set")
-    p.add_argument("--crash-at", type=float, default=1.2,
-                   help="when the share-holding host is condemned")
-    p.add_argument("--once", action="store_true",
-                   help="skip the same-seed determinism replay")
-    p.add_argument("--json", action="store_true",
-                   help="print the full cell result as JSON")
-    p.add_argument("--profile", action="store_true",
-                   help="profile the primary run and report subsystem "
-                        "CPU attribution (measurement-only)")
-    p.set_defaults(fn=cmd_storage)
 
     from repro.bench.cli import add_bench_parser
     add_bench_parser(sub)

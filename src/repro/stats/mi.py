@@ -4,7 +4,7 @@ Companion to :mod:`repro.stats.detection`: where the chi-squared
 machinery answers "how many observations until the attacker *detects*
 the victim", these estimators answer "how many *bits* does one
 observation carry about the secret" -- the leakage axis of the
-mitigation frontier (``repro mitigate``).
+mitigation frontier (``mitigation.frontier``).
 
 The model: a discrete secret ``S`` (e.g. victim present/absent) and a
 continuous observable ``X`` (an inter-arrival time, an RTT).  Samples

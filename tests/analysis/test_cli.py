@@ -26,6 +26,32 @@ class TestParser:
         args = build_parser().parse_args(["fig5", "--sizes", "10,20"])
         assert args.sizes == "10,20"
 
+    def test_chaos_has_no_campaign_mode(self):
+        # the storm runs only as `repro bench run --benchmark chaos.storm`
+        for argv in (["chaos", "campaign"], ["chaos", "--seeds", "2"]):
+            with pytest.raises(SystemExit) as exit_:
+                build_parser().parse_args(argv)
+            assert exit_.value.code == 2
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("the runner ran before the flags were checked")
+
+
+class TestFlagChecks:
+    def test_spans_validate_needs_perfetto(self, monkeypatch):
+        monkeypatch.setattr("repro.analysis.observe.run_observed_workload",
+                            never_called)
+        with pytest.raises(SystemExit, match="--perfetto"):
+            main(["spans", "--validate"])
+
+    def test_scale_profile_out_needs_profile(self, monkeypatch, tmp_path):
+        monkeypatch.setattr("repro.analysis.scale.run_scale_cell",
+                            never_called)
+        with pytest.raises(SystemExit, match="--profile"):
+            main(["scale", "--tenants", "1",
+                  "--profile-out", str(tmp_path / "p.json")])
+
 
 class TestExecution:
     def test_list_command(self, capsys):
@@ -37,7 +63,7 @@ class TestExecution:
         commands, cells = [line.split(": ", 1)[1].split() for line
                            in capsys.readouterr().out.splitlines()]
         assert {"fig5", "bench", "campaign", "list"} <= set(commands)
-        assert "bench-kernel" not in commands
+        assert not {"bench-kernel", "mitigate", "storage"} & set(commands)
         for command in commands:
             with pytest.raises(SystemExit) as exit_:
                 build_parser().parse_args([command, "--help"])
@@ -53,10 +79,15 @@ class TestExecution:
         assert "echo" in names and "storage" in names
 
     def test_storage_json(self, capsys):
-        assert main(["storage", "--json", "--once", "--duration", "4.5",
-                     "--crash-at", "1.0"]) == 0
-        result = json.loads(capsys.readouterr().out)
-        assert result["ok"] is True and result["repairs_completed"] >= 1
+        assert main(["bench", "run", "--benchmark", "storage.repair",
+                     "--no-write", "--json", "--set", "duration=4.5",
+                     "--set", "crash_at=1.0",
+                     "--set", "check_determinism=false"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        metrics = doc["entry"]["metrics"]
+        assert metrics["ok"] is True and metrics["repairs_completed"] >= 1
+        assert doc["result"]["repairs_completed"] == \
+            metrics["repairs_completed"]
 
     def test_fig1_prints_table(self, capsys):
         assert main(["fig1"]) == 0

@@ -16,6 +16,12 @@ from repro.analysis.mitigation import (
 )
 from repro.bench import append_entry, cell_entry
 from repro.campaign import resolve_runner
+from repro.campaign.spec import CampaignError, CampaignSpec
+
+try:
+    import tomllib
+except ModuleNotFoundError:         # Python < 3.11
+    tomllib = None
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -114,9 +120,12 @@ def test_write_bench_appends_trajectory_entries(tmp_path):
 
 
 def test_example_spec_loads_and_names_registered_runner():
-    from repro.campaign.spec import CampaignSpec
-    spec = CampaignSpec.from_file(
-        str(REPO_ROOT / "examples" / "mitigation_frontier.toml"))
+    path = str(REPO_ROOT / "examples" / "mitigation_frontier.toml")
+    if tomllib is None:
+        with pytest.raises(CampaignError, match="Python 3.11"):
+            CampaignSpec.from_file(path)
+        return
+    spec = CampaignSpec.from_file(path)
     assert spec.name == "mitigation-frontier"
     assert [s.runner for s in spec.sweeps] == ["mitigation_cell"]
     grid = spec.sweeps[0].grid

@@ -1,5 +1,6 @@
 """The cell table and the ``repro bench`` CLI round trip."""
 
+import functools
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from repro.bench import (CELLS, Cell, UnknownBenchmark, bench_plan,
                          benchmark_names, compare_entry, default_path,
                          empty_trajectory, load_trajectory, make_entry,
                          run_benchmark, write_trajectory)
+from repro.bench.registry import load
 from repro.cli import main
 
 RUN_SMALL = ["--set", "duration=0.2", "--set", "seed=3",
@@ -162,6 +164,29 @@ class TestBenchRunCommand:
                     *RUN_SMALL, "--output", str(tmp_path / "b.json"),
                     "--profile-out", str(tmp_path / "p.json"))
 
+    @pytest.mark.parametrize("name, runner, flags", [
+        ("kernel.scale2", "repro.analysis.benchkernel:run_kernel_bench",
+         ()),
+        # the frontier runner takes no profile at all
+        ("mitigation.frontier",
+         "repro.analysis.mitigation:mitigation_frontier", ("--profile",)),
+    ])
+    def test_profile_out_rejected_before_running(self, tmp_path,
+                                                 monkeypatch, name,
+                                                 runner, flags):
+        @functools.wraps(load(runner))      # keeps the real signature
+        def never_called(*args, **kwargs):
+            raise AssertionError("the runner ran before the flags were "
+                                 "checked")
+
+        monkeypatch.setattr(runner.replace(":", "."), never_called)
+        path = tmp_path / "b.json"
+        with pytest.raises(SystemExit, match="--profile"):
+            run_cli("bench", "run", "--benchmark", name, *flags,
+                    "--output", str(path),
+                    "--profile-out", str(tmp_path / "p.json"))
+        assert not path.exists()
+
     def test_profile_out_writes_valid_speedscope(self, tmp_path, capsys):
         from repro.prof.export import validate_speedscope_file
         prof = tmp_path / "profile.speedscope.json"
@@ -208,6 +233,75 @@ class TestBenchRunCommand:
                             "kernel.scale2", "--tolerance", value)
                 assert err.value.code == 2
         assert "tolerance must be in [0, 1)" in capsys.readouterr().err
+
+
+def no_write_run(name, *sets, flags=()):
+    argv = ["bench", "run", "--benchmark", name, "--no-write", *flags]
+    for item in sets:
+        argv += ["--set", item]
+    return run_cli(*argv)
+
+
+STORM_SMALL = ("seeds=1", "scenarios=single", "duration=3.0")
+REPAIR_SMALL = ("duration=4.5", "crash_at=1.0", "check_determinism=false")
+
+
+class TestCellReports:
+    """``bench run`` prints a gated cell's report before its headline."""
+
+    def test_frontier_table_and_gate(self, capsys):
+        assert no_write_run("mitigation.frontier", "policies=stopwatch,none",
+                            "attacks=probe", "duration=2.0") == 0
+        out = capsys.readouterr().out
+        assert "policy     attack  MI (bits)  capacity  overhead" in out
+        rows = [line.split()[:2] for line in out.splitlines()]
+        assert ["none", "probe"] in rows and ["stopwatch", "probe"] in rows
+        assert "Gate (probe): PASS -- none=" in out
+        assert out.index("Gate (probe)") < \
+            out.index("mitigation.frontier [head]")
+
+    def test_storage_repair_lines(self, capsys):
+        assert no_write_run("storage.repair", *REPAIR_SMALL) == 0
+        out = capsys.readouterr().out
+        assert "Storage repair cell: 2-of-3 over 3 x 8192 B objects" in out
+        assert "  repair: 1/1 completed" in out
+        assert "  shares: min 3/3 live per object, digests verified" in out
+
+    def test_chaos_invariants_and_progress(self, capsys):
+        assert no_write_run("chaos.storm", *STORM_SMALL) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[1/1] chaos_cell(")
+        assert "Service: " in out
+        assert "Invariants: PASS -- placement, liveness and hygiene held " \
+               "in all 1 cells; all signatures replayed byte-identical" in out
+
+    @pytest.mark.parametrize("name, sets, printed", [
+        ("chaos.storm", STORM_SMALL,
+         ["Invariants: FAIL -- 1 violations:", " single: injected"]),
+        ("storage.repair", REPAIR_SMALL, ["  violation: injected"]),
+        ("mitigation.frontier", ("attacks=bogus",),
+         ["Gate: skipped", "  cell failed: mitigation_cell(",
+          "unknown attack 'bogus'"]),
+    ])
+    def test_failed_gate_prints_every_violation(self, capsys, monkeypatch,
+                                                name, sets, printed):
+        monkeypatch.setattr("repro.faults.invariants.check_all",
+                            lambda *args, **kwargs: ["injected"])
+        with pytest.raises(SystemExit) as err:
+            no_write_run(name, *sets)
+        assert err.value.code == 1
+        out = capsys.readouterr().out
+        for line in printed + [f"cell gate: FAIL ({name} reported"]:
+            assert line in out
+
+    def test_json_carries_the_raw_result(self, capsys):
+        # the storm's runner takes progress; --json keeps it off, so
+        # stdout is one JSON document
+        assert no_write_run("chaos.storm", *STORM_SMALL,
+                            flags=["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"]["cells"] == doc["entry"]["metrics"]["cells"]
+        assert doc["result"]["results"][0]["scenario"] == "single"
 
 
 def kernel_entry(eps, label, signature="a" * 64):

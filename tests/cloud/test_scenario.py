@@ -12,6 +12,11 @@ from repro.cloud.scenario import (
 )
 from repro.sim import Simulator, Trace
 
+try:
+    import tomllib
+except ModuleNotFoundError:         # Python < 3.11
+    tomllib = None
+
 
 def small_spec(**overrides):
     fields = dict(
@@ -136,6 +141,10 @@ request_rate = 50.0
     def test_from_toml(self, tmp_path):
         path = tmp_path / "spec.toml"
         path.write_text(self.TOML)
+        if tomllib is None:
+            with pytest.raises(ScenarioError, match="Python 3.11"):
+                ScenarioSpec.from_file(str(path))
+            return
         spec = ScenarioSpec.from_file(str(path))
         assert spec.name == "smoke"
         assert spec.shards == 2
