@@ -1,4 +1,4 @@
-"""Flow-level analysis behind ``repro spans`` / ``repro flows``.
+"""Flow-level analysis behind ``repro observe``'s span and flow tables.
 
 Reads the representative echo+compute cloud run with causal flow
 tracking on (``run_observed_workload(flows=True)``, :mod:`repro.obs`)

@@ -2,18 +2,21 @@
 
 :func:`run_observed_workload` runs the representative cloud (an echo
 server pinged from an external client next to a disk-bound PARSEC
-kernel) with tracing on.  ``repro offsets``, ``trace``, ``metrics``,
-``spans`` and ``flows`` all run it and report on what the
-observability layer captured: per-category record counts, ring-buffer
-drops, JSONL exports, mediation delays (:func:`mediation_delays`),
-event-loop health counters and, with ``flows=True``, causal spans.
+kernel) with tracing on.  ``repro observe`` runs it once and reports
+everything the observability layer captured: per-category record
+counts, ring-buffer drops, the JSONL stream, event-loop health
+counters, the mediation delays behind the Sec. VII-A table
+(:func:`mediation_delays`, :func:`offset_rows`) and, with
+``flows=True``, causal spans (:mod:`repro.analysis.flows`).
 """
 
+import contextlib
 from typing import Iterable, List, Optional, Tuple
 
+from repro.analysis.report import summarize
 from repro.core.config import DEFAULT
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import JsonlSink, MetricSet, Trace, TraceRecord
+from repro.sim.monitor import JsonlSink, Trace, TraceRecord
 
 
 def run_observed_workload(duration: float = 2.0, seed: int = 5,
@@ -34,23 +37,22 @@ def run_observed_workload(duration: float = 2.0, seed: int = 5,
 
     trace = Trace(categories=categories,
                   max_per_category=max_per_category)
-    sink = JsonlSink(jsonl_path, trace) if jsonl_path else None
-    sim = Simulator(seed=seed, trace=trace, profile=profile)
-    if flows:
-        sim.flows.enable()
-    cloud = Cloud(sim, machines=3, config=DEFAULT,
-                  host_kwargs=PERF_HOST_KWARGS)
-    cloud.create_vm("echo", EchoServer)
-    cloud.create_vm("compute", lambda guest: BlackScholes(guest),
-                    hosts=[0, 1, 2])
-    client = cloud.add_client("client:1")
-    pinger = PingClient(client, "vm:echo", mean_interval=0.015)
-    sim.call_after(0.05, pinger.start)
-    try:
+    # a run that raises discards the stream, so ``jsonl_path`` keeps
+    # its previous content
+    with (JsonlSink(jsonl_path, trace) if jsonl_path
+          else contextlib.nullcontext()) as sink:
+        sim = Simulator(seed=seed, trace=trace, profile=profile)
+        if flows:
+            sim.flows.enable()
+        cloud = Cloud(sim, machines=3, config=DEFAULT,
+                      host_kwargs=PERF_HOST_KWARGS)
+        cloud.create_vm("echo", EchoServer)
+        cloud.create_vm("compute", lambda guest: BlackScholes(guest),
+                        hosts=[0, 1, 2])
+        client = cloud.add_client("client:1")
+        pinger = PingClient(client, "vm:echo", mean_interval=0.015)
+        sim.call_after(0.05, pinger.start)
         cloud.run(until=duration)
-    finally:
-        if sink is not None:
-            sink.close()
     return sim, sink
 
 
@@ -90,13 +92,13 @@ def mediation_delays(trace: Trace) -> Tuple[List[float], List[float]]:
     return net, disk
 
 
-def mediation_delay_metrics(trace: Trace) -> MetricSet:
-    """:func:`mediation_delays` as ``delay.net`` / ``delay.disk``
-    observation streams."""
-    metrics = MetricSet()
-    net_delays, disk_delays = mediation_delays(trace)
-    for name, delays in (("delay.net", net_delays),
-                         ("delay.disk", disk_delays)):
-        for delay in delays:
-            metrics.observe(name, delay)
-    return metrics
+def offset_rows(trace: Trace) -> list:
+    """The Sec. VII-A table: (offset, events, mean, min, max, p50, p95,
+    p99) rows in milliseconds for ``delta_n`` and ``delta_d``."""
+    rows = []
+    for name, delays in zip(("delta_n", "delta_d"),
+                            mediation_delays(trace)):
+        s = summarize([delay * 1000 for delay in delays])
+        rows.append((name, s["count"], s["mean"], s["min"], s["max"],
+                     s["p50"], s["p95"], s["p99"]))
+    return rows

@@ -269,19 +269,8 @@ class CampaignSpec:
     @classmethod
     def from_file(cls, path: str) -> "CampaignSpec":
         """Load a spec from ``.toml`` or ``.json``."""
-        if path.endswith(".toml"):
-            try:
-                import tomllib
-            except ModuleNotFoundError as exc:        # Python < 3.11
-                raise CampaignError(
-                    "loading .toml specs requires Python 3.11+ "
-                    "(tomllib); convert the spec to .json") from exc
-            with open(path, "rb") as handle:
-                return cls.from_dict(tomllib.load(handle))
-        if path.endswith(".json"):
-            with open(path, "r", encoding="utf-8") as handle:
-                return cls.from_dict(json.load(handle))
-        raise CampaignError(f"spec path must end in .toml or .json: {path}")
+        from repro.ioutil import load_spec_file
+        return cls.from_dict(load_spec_file(path, CampaignError))
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data snapshot (resolved seeds, expansion-ready)."""

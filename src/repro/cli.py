@@ -9,13 +9,11 @@ Usage::
     python -m repro fig7  [--kernels ferret,dedup] [--scale 1.0]
     python -m repro fig8  [--victim-rate 0.5]
     python -m repro placement
-    python -m repro offsets
     python -m repro covert
     python -m repro collab
-    python -m repro trace   [--categories vmm,ingress] [--out run.jsonl]
-    python -m repro metrics [--profile] [--duration 2]
-    python -m repro spans   [--perfetto out.json] [--validate]
-    python -m repro flows   [--flow echo/3] [--top-k 10]
+    python -m repro observe [--duration 10] [--categories vmm,ingress]
+    python -m repro observe [--out run.jsonl] [--perfetto out.json] [--profile]
+    python -m repro observe [--flow echo/3] [--top 5]
     python -m repro chaos   [--check-determinism] [--crash-at 0.9]
     python -m repro scale   [--tenants 1,8,32] [--shards 2] [--spec s.toml]
     python -m repro bench run --benchmark kernel.scale32 [--profile]
@@ -29,6 +27,12 @@ Usage::
     python -m repro campaign resume examples/fig5_sweep.toml
     python -m repro campaign aggregate examples/fig5_sweep.toml
     python -m repro list
+
+``repro observe`` runs the Sec. VII-A echo+compute cloud once, with
+tracing and flow tracking on, and prints what it captured: the trace
+categories, the event-loop counters, the real-time cost of the
+offsets Δn and Δd, the span and flow counts, and the critical-path
+stage and slowest-flow tables (or one flow's span timeline).
 
 The gated cells -- ``kernel.scale<N>``, ``chaos.storm``,
 ``mitigation.frontier`` and ``storage.repair`` -- run only through
@@ -44,7 +48,14 @@ from typing import List
 
 
 def _ints(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part]
+    try:
+        values = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -52,6 +63,14 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text}")
     return value
 
 
@@ -77,7 +96,7 @@ def cmd_fig4(args) -> None:
 
 def cmd_fig5(args) -> None:
     from repro.analysis import fig5_file_download, format_table
-    rows = fig5_file_download(sizes=_ints(args.sizes))
+    rows = fig5_file_download(sizes=args.sizes)
     rendered = [(s, hb * 1000, hs * 1000, hs / hb, ub * 1000, us * 1000,
                  us / ub) for s, hb, hs, ub, us in rows]
     print("Fig. 5: file-retrieval latency (ms)")
@@ -87,7 +106,7 @@ def cmd_fig5(args) -> None:
 
 def cmd_fig6(args) -> None:
     from repro.analysis import fig6_nfs, format_table
-    rows = fig6_nfs(rates=_ints(args.rates), duration=args.duration)
+    rows = fig6_nfs(rates=args.rates, duration=args.duration)
     rendered = [(r, b * 1000, s * 1000, s / b, c2s, s2c)
                 for r, b, s, c2s, s2c, _ in rows]
     print("Fig. 6: NFS / nhfsstone")
@@ -131,22 +150,6 @@ def cmd_placement(args) -> None:
                         "isolation", "Thm1 bound", "c*n/3"], rows))
 
 
-def cmd_offsets(args) -> None:
-    from repro.analysis import (delta_offset_translation, format_table,
-                                summarize)
-    result = delta_offset_translation(duration=args.duration)
-    net = summarize([d * 1000 for d in result["net_delays"]])
-    disk = summarize([d * 1000 for d in result["disk_delays"]])
-    print("Sec. VII-A: real-time translation of the virtual offsets")
-    print(format_table(
-        ["offset", "events", "mean ms", "min ms", "max ms", "p50 ms",
-         "p95 ms", "p99 ms"],
-        [("delta_n", net["count"], net["mean"], net["min"], net["max"],
-          net["p50"], net["p95"], net["p99"]),
-         ("delta_d", disk["count"], disk["mean"], disk["min"],
-          disk["max"], disk["p50"], disk["p95"], disk["p99"])]))
-
-
 def cmd_covert(args) -> None:
     from repro.attacks import run_covert_channel
     for mediated in (False, True):
@@ -170,115 +173,44 @@ def cmd_collab(args) -> None:
     print(format_table(["condition", "obs to detect @95%"], rows))
 
 
-def cmd_trace(args) -> None:
+def cmd_observe(args) -> None:
+    import time as _time
+
     from repro.analysis import format_table
-    from repro.analysis.observe import (run_observed_workload,
+    from repro.analysis.flows import (flow_detail_rows, flow_stage_rows,
+                                      flow_summary, slowest_flow_rows)
+    from repro.analysis.observe import (offset_rows, run_observed_workload,
                                         trace_category_rows)
+    from repro.obs import STAGES, export_perfetto, validate_file
+
     categories = ([c for c in args.categories.split(",") if c]
                   if args.categories else None)
+    started = _time.perf_counter()
     sim, sink = run_observed_workload(
         duration=args.duration, seed=args.seed, categories=categories,
-        max_per_category=args.cap, jsonl_path=args.out)
-    trace = sim.trace
+        max_per_category=args.cap, profile=args.profile,
+        jsonl_path=args.out, flows=True)
+    total_seconds = _time.perf_counter() - started
+    trace, tracker = sim.trace, sim.flows
     print(f"Trace: {len(trace)} records retained, "
           f"{trace.dropped} dropped (cap={args.cap})")
     print(format_table(["category", "retained", "dropped"],
                        trace_category_rows(trace)))
     if sink is not None:
         print(f"Streamed {sink.written} records to {args.out}")
+    print("\nEvent loop:")
+    print(format_table(["metric", "value"], list(sim.stats().items())))
+    print("\nSec. VII-A: real-time translation of the virtual offsets")
+    print(format_table(["offset", "events", "mean ms", "min ms", "max ms",
+                        "p50 ms", "p95 ms", "p99 ms"], offset_rows(trace)))
 
-
-def cmd_metrics(args) -> None:
-    from repro.analysis import format_table
-    from repro.analysis.observe import (mediation_delay_metrics,
-                                        run_observed_workload)
-    sim, _ = run_observed_workload(duration=args.duration, seed=args.seed,
-                                   max_per_category=args.cap,
-                                   profile=args.profile)
-    stats = sim.stats()
-    print("Event loop:")
-    print(format_table(["metric", "value"],
-                       [(key, value) for key, value in stats.items()
-                        if key != "profile"]))
-    snapshot = mediation_delay_metrics(sim.trace).snapshot()
-    rows = [(name, s["count"], s["mean"] * 1000, s["p50"] * 1000,
-             s["p95"] * 1000, s["p99"] * 1000)
-            for name, s in sorted(snapshot["observations"].items())]
-    print("\nMediation delays (ms):")
-    print(format_table(["metric", "count", "mean", "p50", "p95", "p99"],
-                       rows))
-    if args.profile:
-        top = list(stats["profile"].items())[:args.top]
-        print("\nCallback wall-time profile (top entries):")
-        print(format_table(
-            ["callback", "calls", "seconds"],
-            [(name, entry["calls"], entry["seconds"])
-             for name, entry in top]))
-
-
-def cmd_spans(args) -> None:
-    import time as _time
-
-    from repro.analysis import format_table
-    from repro.analysis.flows import flow_summary
-    from repro.analysis.observe import run_observed_workload
-    from repro.obs import export_perfetto, validate_file
-
-    if args.validate and not args.perfetto:
-        raise SystemExit("--validate requires --perfetto OUT")
-    started = _time.perf_counter()
-    sim, _ = run_observed_workload(duration=args.duration, seed=args.seed,
-                                   profile=args.profile, flows=True)
-    total_seconds = _time.perf_counter() - started
-    summary = flow_summary(sim.flows)
-    print(f"Spans: {summary['spans']} recorded "
+    summary = flow_summary(tracker)
+    print(f"\nSpans: {summary['spans']} recorded "
           f"({summary['open_spans']} open, "
           f"{summary['dropped_spans']} dropped) across "
           f"{summary['flows']} flows")
-    counts = sim.flows.store.name_counts()
     print(format_table(["span", "count"],
-                       sorted(counts.items())))
-    profile = None
-    if args.profile and sim.profiler is not None:
-        profile = sim.profiler.summary(
-            loop_seconds=sim.wall_seconds,
-            total_seconds=total_seconds,
-            release_times=sim.trace.times("egress.release"))
-        from repro.bench.cli import profile_lines
-        for line in profile_lines(profile):
-            print(line)
-    if args.perfetto:
-        extra = None
-        if profile is not None:
-            from repro.prof.export import counter_events
-            extra = counter_events(profile)
-        written = export_perfetto(sim.flows.store, args.perfetto,
-                                  extra_events=extra)
-        print(f"\nExported {written} duration events to {args.perfetto} "
-              f"(open in https://ui.perfetto.dev"
-              f"{'; profiler counter tracks merged' if extra else ''})")
-        if args.validate:
-            problems = validate_file(args.perfetto)
-            if problems:
-                print("Validation FAILED:")
-                for problem in problems:
-                    print(f"  - {problem}")
-                raise SystemExit(1)
-            print("Validation: PASS (parses, pid/tid/ts/dur present, "
-                  "critical stages sum to end-to-end)")
-
-
-def cmd_flows(args) -> None:
-    from repro.analysis import format_table
-    from repro.analysis.flows import (flow_detail_rows, flow_stage_rows,
-                                      flow_summary, slowest_flow_rows)
-    from repro.analysis.observe import run_observed_workload
-    from repro.obs import STAGES
-
-    sim, _ = run_observed_workload(duration=args.duration, seed=args.seed,
-                                   flows=True)
-    tracker = sim.flows
-    summary = flow_summary(tracker)
+                       sorted(tracker.store.name_counts().items())))
     print(f"Flows: {summary['complete']} complete / {summary['flows']} "
           f"tracked ({summary['incomplete']} incomplete, "
           f"{summary['dropped_flows']} evicted, "
@@ -295,13 +227,37 @@ def cmd_flows(args) -> None:
               f"critical replica {flow.release_replica}")
         print(format_table(["span", "replica", "start ms", "end ms",
                             "dur ms", "annotations"], rows))
-        return
-    print("\nCritical-path stage latency (ms):")
-    print(format_table(["stage", "count", "mean", "p50", "p95", "p99"],
-                       flow_stage_rows(tracker)))
-    print(f"\nSlowest {args.top_k} flows (ms):")
-    print(format_table(["flow", "e2e", "dominant"] + list(STAGES),
-                       slowest_flow_rows(tracker, top_k=args.top_k)))
+    else:
+        print("\nCritical-path stage latency (ms):")
+        print(format_table(["stage", "count", "mean", "p50", "p95", "p99"],
+                           flow_stage_rows(tracker)))
+        print(f"\nSlowest {args.top} flows (ms):")
+        print(format_table(["flow", "e2e", "dominant"] + list(STAGES),
+                           slowest_flow_rows(tracker, top_k=args.top)))
+
+    extra = None
+    if args.profile:
+        from repro.bench.cli import profile_lines
+        from repro.prof.export import counter_events
+        profile = sim.profiler.summary(
+            loop_seconds=sim.wall_seconds, total_seconds=total_seconds,
+            release_times=trace.times("egress.release"))
+        print("\n" + "\n".join(profile_lines(profile, top=args.top)))
+        extra = counter_events(profile)
+    if args.perfetto:
+        written = export_perfetto(tracker.store, args.perfetto,
+                                  extra_events=extra)
+        print(f"\nExported {written} duration events to {args.perfetto} "
+              f"(open in https://ui.perfetto.dev"
+              f"{'; profiler counter tracks merged' if extra else ''})")
+        problems = validate_file(args.perfetto)
+        if problems:
+            print("Validation FAILED:")
+            for problem in problems:
+                print(f"  - {problem}")
+            raise SystemExit(1)
+        print("Validation: PASS (parses, pid/tid/ts/dur present, "
+              "critical stages sum to end-to-end)")
 
 
 def cmd_chaos(args) -> None:
@@ -367,7 +323,7 @@ def cmd_scale(args) -> None:
             tenants, shards=args.shards or 1, workload=args.workload,
             clients_per_tenant=args.clients, request_rate=args.rate,
             machines=args.machines, workload_params=workload_params)
-            for tenants in _ints(args.tenants)]
+            for tenants in args.tenants]
     rows = [run_scale_cell(spec, duration=args.duration, seed=args.seed,
                            profile=args.profile) for spec in specs]
 
@@ -472,16 +428,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fig1)
 
     p = sub.add_parser("fig4", help="empirical coresidence detection")
-    p.add_argument("--duration", type=float, default=30.0)
+    p.add_argument("--duration", type=_positive_float, default=30.0)
     p.set_defaults(fn=cmd_fig4)
 
     p = sub.add_parser("fig5", help="file-download latency")
-    p.add_argument("--sizes", default="1000,10000,100000,1000000")
+    p.add_argument("--sizes", type=_ints,
+                   default="1000,10000,100000,1000000")
     p.set_defaults(fn=cmd_fig5)
 
     p = sub.add_parser("fig6", help="NFS under nhfsstone")
-    p.add_argument("--rates", default="25,50,100,200,400")
-    p.add_argument("--duration", type=float, default=8.0)
+    p.add_argument("--rates", type=_ints, default="25,50,100,200,400")
+    p.add_argument("--duration", type=_positive_float, default=8.0)
     p.set_defaults(fn=cmd_fig6)
 
     p = sub.add_parser("fig7", help="PARSEC kernels")
@@ -496,21 +453,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("placement", help="Sec. VIII utilisation")
     p.set_defaults(fn=cmd_placement)
 
-    p = sub.add_parser("offsets", help="delta_n/delta_d translation")
-    p.add_argument("--duration", type=float, default=10.0)
-    p.set_defaults(fn=cmd_offsets)
-
     p = sub.add_parser("covert", help="covert-channel BER")
     p.add_argument("--bits", type=int, default=24)
     p.set_defaults(fn=cmd_covert)
 
     p = sub.add_parser("collab", help="Sec. IX collaborating attackers")
-    p.add_argument("--duration", type=float, default=15.0)
+    p.add_argument("--duration", type=_positive_float, default=15.0)
     p.set_defaults(fn=cmd_collab)
 
-    p = sub.add_parser("trace", help="record a traced run; summarize "
-                                     "and export JSONL")
-    p.add_argument("--duration", type=float, default=2.0)
+    p = sub.add_parser("observe", help="run the Sec. VII-A cloud once: "
+                                       "trace, offsets, flows and spans")
+    p.add_argument("--duration", type=_positive_float, default=2.0)
     p.add_argument("--seed", type=int, default=5)
     p.add_argument("--categories", default=None,
                    help="comma-separated dotted category prefixes "
@@ -519,46 +472,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ring-buffer cap per category")
     p.add_argument("--out", default=None, help="stream records to this "
                                                "JSONL file")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("metrics", help="event-loop health and "
-                                       "mediation-delay percentiles")
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=5)
-    p.add_argument("--cap", type=_positive_int, default=100_000)
-    p.add_argument("--profile", action="store_true",
-                   help="profile per-callback wall time")
-    p.add_argument("--top", type=int, default=10)
-    p.set_defaults(fn=cmd_metrics)
-
-    p = sub.add_parser("spans", help="record a span-tracked run; "
-                                     "summarize and export Perfetto JSON")
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=5)
     p.add_argument("--perfetto", default=None, metavar="OUT",
-                   help="write Chrome trace-event JSON to this file")
-    p.add_argument("--validate", action="store_true",
-                   help="validate the exported trace (with --perfetto); "
-                        "non-zero exit on failure")
+                   help="write Chrome trace-event JSON to this file and "
+                        "validate it (exit 1 on a problem)")
     p.add_argument("--profile", action="store_true",
                    help="attribute CPU to subsystems; with --perfetto, "
                         "merge counter tracks into the span trace")
-    p.set_defaults(fn=cmd_spans)
-
-    p = sub.add_parser("flows", help="per-flow mediation-delay "
-                                     "attribution (critical-path stages)")
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=5)
     p.add_argument("--flow", default=None, metavar="ID",
                    help="show one flow's span timeline (e.g. echo/3)")
-    p.add_argument("--top-k", type=_positive_int, default=10,
-                   help="slowest flows to list")
-    p.set_defaults(fn=cmd_flows)
+    p.add_argument("--top", type=_positive_int, default=10,
+                   help="slowest flows and hottest callbacks to list")
+    p.set_defaults(fn=cmd_observe)
 
     p = sub.add_parser("chaos", help="crash/recover a replica mid-run "
                                      "under load")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--duration", type=float, default=3.0)
+    p.add_argument("--duration", type=_positive_float, default=3.0)
     p.add_argument("--crash-at", type=float, default=0.9)
     p.add_argument("--restart-at", type=float, default=2.0)
     p.add_argument("--replica", type=int, default=2,
@@ -572,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      "throughput and mediation delay vs "
                                      "tenant count, with placement and "
                                      "determinism verification")
-    p.add_argument("--tenants", default="1,8,32",
+    p.add_argument("--tenants", type=_ints, default="1,8,32",
                    help="comma-separated tenant counts")
-    p.add_argument("--duration", type=float, default=3.0)
+    p.add_argument("--duration", type=_positive_float, default=3.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--shards", type=_positive_int, default=None,
                    help="ingress/egress shard count (default 1)")

@@ -34,7 +34,6 @@ drivers.  Everything is seeded through named RNG streams, so a scenario
 run is bit-reproducible.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -305,20 +304,8 @@ class ScenarioSpec:
     @classmethod
     def from_file(cls, path: str) -> "ScenarioSpec":
         """Load a spec from ``.toml`` or ``.json``."""
-        if path.endswith(".toml"):
-            try:
-                import tomllib
-            except ModuleNotFoundError as exc:        # Python < 3.11
-                raise ScenarioError(
-                    "loading .toml specs requires Python 3.11+ "
-                    "(tomllib); convert the spec to .json") from exc
-            with open(path, "rb") as handle:
-                return cls.from_dict(tomllib.load(handle))
-        if path.endswith(".json"):
-            with open(path, "r", encoding="utf-8") as handle:
-                return cls.from_dict(json.load(handle))
-        raise ScenarioError(
-            f"spec path must end in .toml or .json: {path}")
+        from repro.ioutil import load_spec_file
+        return cls.from_dict(load_spec_file(path, ScenarioError))
 
     def build(self, sim) -> "BuiltScenario":
         """Convenience: ``CloudBuilder(self).build(sim)``."""

@@ -12,7 +12,7 @@ import contextlib
 import json
 import os
 import tempfile
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO, Type
 
 
 class AtomicWriter:
@@ -107,3 +107,20 @@ def read_jsonl(path: str) -> Iterable[dict]:
             line = line.strip()
             if line:
                 yield json.loads(line)
+
+
+def load_spec_file(path: str, error: Type[Exception]) -> Any:
+    """Parse a ``.toml`` or ``.json`` spec file into plain data; raises
+    ``error`` for any other suffix, or for TOML on Python < 3.11."""
+    if path.endswith(".toml"):
+        try:
+            import tomllib
+        except ModuleNotFoundError as exc:        # Python < 3.11
+            raise error("loading .toml specs requires Python 3.11+ "
+                        "(tomllib); convert the spec to .json") from exc
+        with open(path, "rb") as handle:
+            return tomllib.load(handle)
+    if path.endswith(".json"):
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    raise error(f"spec path must end in .toml or .json: {path}")

@@ -1,9 +1,8 @@
 """Subsystem-attributed CPU profiling for the simulation kernel.
 
-The PR-1 profiler answered "which callback is hot?"; this one answers
-the question the ROADMAP actually asks -- *where do the cycles go* --
-by bucketing every callback's measured wall time into the subsystem
-that owns it.  Attribution needs no per-event string work: the kernel
+Beyond "which callback is hot?", this answers *where do the cycles
+go* by bucketing every callback's measured wall time into the
+subsystem that owns it.  Attribution needs no per-event string work: the kernel
 hands :meth:`SubsystemProfiler.record` the scheduled callable, the
 profiler keys its accumulator on the underlying function object (bound
 methods share one function, so a fleet of 96 replicas collapses to one
@@ -155,22 +154,6 @@ class SubsystemProfiler:
         self.attributed_seconds += elapsed
 
     # -- report time ---------------------------------------------------
-    def by_callback(self) -> Dict[str, Dict[str, float]]:
-        """``{qualname: {"calls", "seconds"}}`` hottest-first (the
-        PR-1 ``Simulator.stats()["profile"]`` shape)."""
-        rows: Dict[str, Dict[str, float]] = {}
-        for func, (calls, seconds) in self.stats.items():
-            name = getattr(_unwrap(func), "__qualname__", None) or repr(func)
-            row = rows.get(name)
-            if row is None:
-                rows[name] = {"calls": calls, "seconds": seconds}
-            else:
-                row["calls"] += calls
-                row["seconds"] += seconds
-        return dict(sorted(rows.items(),
-                           key=lambda item: item[1]["seconds"],
-                           reverse=True))
-
     def callback_rows(self) -> List[Dict[str, Any]]:
         """One attributed row per distinct callback, hottest first."""
         rows: List[Dict[str, Any]] = []

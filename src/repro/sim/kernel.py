@@ -235,8 +235,8 @@ class Simulator:
     With ``profile=True`` every callback's host wall time is accumulated
     by a :class:`~repro.prof.profiler.SubsystemProfiler` (exposed as
     :attr:`profiler`; pass an instance instead of ``True`` to tune the
-    timeline geometry).  :meth:`stats` then reports per-callback and
-    per-subsystem attribution; the default keeps the hot loop
+    timeline geometry), whose ``summary()`` attributes the loop's time
+    to subsystems and callbacks; the default keeps the hot loop
     uninstrumented.  Profiling is measurement-only: event order, RNG
     draws and every trace are byte-identical with it on or off.
 
@@ -598,7 +598,7 @@ class Simulator:
         ``events_per_second`` is fired events per host wall-clock
         second across all runs."""
         wall = self.wall_seconds
-        report = {
+        return {
             "now": self.now,
             "events_fired": self.event_count,
             "events_cancelled": self.cancelled_count,
@@ -613,11 +613,6 @@ class Simulator:
             "trace_dropped": getattr(self.trace, "dropped", 0),
             "metric_counters": dict(self.metrics.counters),
         }
-        if self.profiler is not None:
-            report["profile"] = self.profiler.by_callback()
-            report["profile_subsystems"] = self.profiler.summary(
-                loop_seconds=self.wall_seconds)["subsystems"]
-        return report
 
     def __repr__(self) -> str:
         return (f"<Simulator now={self.now:.6f} "

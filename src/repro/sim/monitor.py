@@ -297,8 +297,9 @@ class JsonlSink:
         print(sink.written)
 
     Records stream into a temp file that only replaces ``path`` on
-    :meth:`close` -- a run that dies mid-stream never leaves a
-    truncated file at the destination.
+    :meth:`close`; :meth:`discard` (and a ``with`` block that raises)
+    drops it -- a run that dies mid-stream never leaves a truncated
+    file at the destination.
     """
 
     def __init__(self, path: str, trace: Optional[Trace] = None):
@@ -316,17 +317,29 @@ class JsonlSink:
         self._writer.write("\n")
         self.written += 1
 
-    def close(self) -> None:
+    def _unsubscribe(self) -> None:
         if self._trace is not None:
             self._trace.unsubscribe(self)
             self._trace = None
+
+    def close(self) -> None:
+        """Publish the stream at ``path``."""
+        self._unsubscribe()
         self._writer.commit()
+
+    def discard(self) -> None:
+        """Drop the stream; ``path`` keeps its previous content."""
+        self._unsubscribe()
+        self._writer.discard()
 
     def __enter__(self) -> "JsonlSink":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
 
 
 class Histogram:

@@ -7,13 +7,16 @@ import pytest
 from repro.bench.registry import lookup
 from repro.cli import build_parser, main
 
+#: the commands `repro observe` replaced
+FOLDED_INTO_OBSERVE = ("offsets", "trace", "metrics", "spans", "flows")
+
 
 class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()
         for command in ("fig1", "fig4", "fig5", "fig6", "fig7", "fig8",
-                        "placement", "offsets", "covert", "collab",
-                        "trace", "metrics", "list"):
+                        "placement", "observe", "covert", "collab",
+                        "list"):
             args = parser.parse_args(
                 [command] if command != "fig7" else ["fig7"])
             assert callable(args.fn)
@@ -24,7 +27,42 @@ class TestParser:
 
     def test_size_list_parsing(self):
         args = build_parser().parse_args(["fig5", "--sizes", "10,20"])
-        assert args.sizes == "10,20"
+        assert args.sizes == [10, 20]
+
+    @pytest.mark.parametrize("argv,option", [
+        (["fig5", "--sizes", "abc"], "--sizes"),
+        (["scale", "--tenants", "x"], "--tenants"),
+        (["fig6", "--rates", ","], "--rates"),
+        (["fig4", "--duration", "0"], "--duration"),
+        (["fig6", "--duration", "-2"], "--duration"),
+        (["collab", "--duration", "nan"], "--duration"),
+        (["observe", "--duration", "-1"], "--duration"),
+        (["chaos", "--duration", "inf"], "--duration"),
+        (["scale", "--duration", "0"], "--duration"),
+    ])
+    def test_bad_numbers_exit_2_naming_the_option(self, argv, option,
+                                                  capsys):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(argv)
+        assert exit_.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", FOLDED_INTO_OBSERVE)
+    def test_folded_commands_are_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args([command])
+        assert exit_.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+    def test_observe_has_nine_options(self):
+        parser = build_parser()
+        (sub,) = [action for action in parser._actions
+                  if action.dest == "command"]
+        options = {option for action in sub.choices["observe"]._actions
+                   for option in action.option_strings} - {"-h", "--help"}
+        assert options == {"--duration", "--seed", "--categories", "--cap",
+                           "--out", "--perfetto", "--profile", "--flow",
+                           "--top"}
 
     def test_chaos_has_no_campaign_mode(self):
         # the storm runs only as `repro bench run --benchmark chaos.storm`
@@ -39,11 +77,17 @@ def never_called(*args, **kwargs):
 
 
 class TestFlagChecks:
-    def test_spans_validate_needs_perfetto(self, monkeypatch):
-        monkeypatch.setattr("repro.analysis.observe.run_observed_workload",
-                            never_called)
-        with pytest.raises(SystemExit, match="--perfetto"):
-            main(["spans", "--validate"])
+    def test_observe_perfetto_exits_1_on_a_validation_problem(
+            self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("repro.obs.validate_file",
+                            lambda path: ["no critical path in " + path])
+        out = tmp_path / "spans.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(["observe", "--duration", "0.3", "--perfetto", str(out)])
+        assert exit_.value.code == 1
+        text = capsys.readouterr().out
+        assert "Validation FAILED" in text
+        assert f"no critical path in {out}" in text
 
     def test_scale_profile_out_needs_profile(self, monkeypatch, tmp_path):
         monkeypatch.setattr("repro.analysis.scale.run_scale_cell",
@@ -64,6 +108,8 @@ class TestExecution:
                            in capsys.readouterr().out.splitlines()]
         assert {"fig5", "bench", "campaign", "list"} <= set(commands)
         assert not {"bench-kernel", "mitigate", "storage"} & set(commands)
+        assert "observe" in commands
+        assert not set(FOLDED_INTO_OBSERVE) & set(commands)
         for command in commands:
             with pytest.raises(SystemExit) as exit_:
                 build_parser().parse_args([command, "--help"])
@@ -111,7 +157,7 @@ class TestExecution:
 
     def test_trace_command_summarizes_and_exports(self, capsys, tmp_path):
         out = tmp_path / "run.jsonl"
-        assert main(["trace", "--duration", "0.3", "--categories",
+        assert main(["observe", "--duration", "0.3", "--categories",
                      "vmm.deliver,ingress", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "vmm.deliver.net" in text
@@ -120,10 +166,35 @@ class TestExecution:
         assert out.exists() and out.read_text().count("\n") > 0
 
     def test_metrics_command_prints_percentiles(self, capsys):
-        assert main(["metrics", "--duration", "0.3", "--profile",
+        assert main(["observe", "--duration", "0.3", "--profile",
                      "--top", "3"]) == 0
         text = capsys.readouterr().out
         assert "events_per_second" in text
-        assert "delay.net" in text
+        assert "delta_n" in text
         assert "p95" in text
-        assert "Callback wall-time profile" in text
+        assert "Hottest callbacks" in text
+
+    def test_observe_runs_the_cloud_once(self, capsys, monkeypatch):
+        from repro.analysis import observe
+        calls = []
+        run = observe.run_observed_workload
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(observe, "run_observed_workload", counting)
+        assert main(["observe", "--duration", "0.3", "--flow",
+                     "echo/1"]) == 0
+        assert len(calls) == 1 and calls[0]["flows"] is True
+        text = capsys.readouterr().out
+        for heading in ("Trace:", "Event loop:", "Sec. VII-A", "Spans:",
+                        "Flows:", "Flow echo/1:"):
+            assert heading in text
+
+    def test_observe_unknown_flow_exits_1_with_id_hint(self):
+        with pytest.raises(SystemExit) as exit_:
+            main(["observe", "--duration", "0.3", "--flow", "no/999"])
+        # a message exit: the interpreter prints it and exits 1
+        message = exit_.value.code
+        assert "unknown flow 'no/999'" in message and "echo/3" in message

@@ -136,14 +136,14 @@ class TestKernelIntegration:
 
     def test_stats_report_callbacks_and_subsystems(self):
         sim, _ = self.run_cell(True)
-        stats = sim.stats()
-        assert any("work" in name for name in stats["profile"])
+        rows = sim.profiler.callback_rows()
+        assert any("work" in row["callback"] for row in rows)
         # the test-module callback lands in "other"; the dispatch gap
         # puts "kernel" in the table too
-        assert "other" in stats["profile_subsystems"]
+        summary = sim.profiler.summary(loop_seconds=sim.wall_seconds)
+        assert {"other", "kernel"} <= set(summary["subsystems"])
         assert sim.profiler.events == 50
-        assert sum(row["calls"] for row in stats["profile"].values()) \
-            == 50
+        assert sum(row["calls"] for row in rows) == 50
 
     def test_profile_off_leaves_no_profiler(self):
         sim, _ = self.run_cell(False)

@@ -181,11 +181,10 @@ def test_profile_collects_callback_wall_time():
     for i in range(3):
         sim.call_after(float(i + 1), busy)
     sim.run()
-    profile = sim.stats()["profile"]
-    (key, entry), = profile.items()
-    assert "busy" in key
-    assert entry["calls"] == 3
-    assert entry["seconds"] >= 0.0
+    (row,) = sim.profiler.callback_rows()
+    assert "busy" in row["callback"]
+    assert row["calls"] == 3
+    assert row["seconds"] >= 0.0
 
 
 def test_peek_skips_cancelled():

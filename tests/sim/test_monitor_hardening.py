@@ -4,6 +4,8 @@ payloads, and crash-safe (atomic) file writes."""
 import json
 import os
 
+import pytest
+
 from repro.sim.monitor import JsonlSink, Trace, TraceRecord, _record_to_json
 
 
@@ -123,3 +125,41 @@ class TestAtomicWrites:
         sink.close()
         sink.close()
         assert os.path.exists(path)
+
+    def _previous(self, tmp_path):
+        path = os.path.join(tmp_path, "run.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("previous\n")
+        return path
+
+    def test_failed_with_block_keeps_the_previous_destination(self,
+                                                              tmp_path):
+        path = self._previous(tmp_path)
+        trace = Trace()
+        with pytest.raises(RuntimeError):
+            with JsonlSink(path, trace) as sink:
+                trace.record(0.0, "vmm", i=0)
+                raise RuntimeError("the run died")
+        assert sink.written == 1
+        assert open(path, encoding="utf-8").read() == "previous\n"
+        assert os.listdir(tmp_path) == ["run.jsonl"]   # no tmp stragglers
+        trace.record(1.0, "vmm", i=1)                 # unsubscribed
+        assert sink.written == 1
+
+    def test_failed_observed_run_keeps_the_previous_destination(
+            self, tmp_path, monkeypatch):
+        from repro.analysis.observe import run_observed_workload
+        from repro.cloud.fabric import Cloud
+
+        run = Cloud.run
+
+        def dies(self, until):
+            run(self, until=0.3)
+            raise RuntimeError("the run died")
+
+        monkeypatch.setattr(Cloud, "run", dies)
+        path = self._previous(tmp_path)
+        with pytest.raises(RuntimeError, match="the run died"):
+            run_observed_workload(duration=1.0, jsonl_path=path)
+        assert open(path, encoding="utf-8").read() == "previous\n"
+        assert os.listdir(tmp_path) == ["run.jsonl"]
