@@ -22,8 +22,8 @@ Typical entry points:
 Subpackages
 -----------
 ``repro.sim``
-    Discrete-event simulation kernel (events, processes, channels,
-    resources, RNG streams, tracing).
+    Discrete-event simulation kernel (event loop, one-shot events,
+    timer wheels, RNG streams, tracing).
 ``repro.core``
     The paper's core mechanisms: virtual time (Eqn. 1 + epoch
     resynchronisation), median agreement, quorum release, configuration.

@@ -9,10 +9,10 @@ cell table, and the regression gate.
 - :mod:`repro.bench.cli` -- ``repro bench run/compare/history/list``.
 """
 
-from repro.bench.registry import (CELLS, Cell, UnknownBenchmark,
-                                  bench_plan, benchmark_names,
-                                  cell_entry, cell_names, default_path,
-                                  lookup, run_benchmark)
+from repro.bench.registry import (CELLS, BadOverride, Cell,
+                                  UnknownBenchmark, bench_plan,
+                                  benchmark_names, cell_entry, cell_names,
+                                  default_path, lookup, run_benchmark)
 from repro.bench.schema import (DEFAULT_TOLERANCE, ENTRY_SCHEMA,
                                 TRAJECTORY_SCHEMA, BenchSchemaError,
                                 append_entry, best_entry,
@@ -22,7 +22,7 @@ from repro.bench.schema import (DEFAULT_TOLERANCE, ENTRY_SCHEMA,
                                 validate_entry, write_trajectory)
 
 __all__ = [
-    "CELLS", "BenchSchemaError", "Cell", "DEFAULT_TOLERANCE",
+    "CELLS", "BadOverride", "BenchSchemaError", "Cell", "DEFAULT_TOLERANCE",
     "ENTRY_SCHEMA", "TRAJECTORY_SCHEMA", "UnknownBenchmark",
     "append_entry", "bench_plan", "benchmark_names", "best_entry",
     "cell_entry", "cell_names", "comparable_entries", "compare_entry",

@@ -22,6 +22,7 @@ false).
 import argparse
 import inspect
 import json
+import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 
@@ -91,12 +92,18 @@ def _gate_report(gate: Dict[str, Any], strict: bool) -> bool:
 
 
 def cmd_bench_run(args) -> None:
-    from repro.bench import (append_entry, bench_plan, cell_entry,
-                             compare_entry, default_path,
-                             empty_trajectory, load_trajectory)
+    from repro.bench import (BadOverride, UnknownBenchmark, append_entry,
+                             bench_plan, cell_entry, compare_entry,
+                             default_path, empty_trajectory,
+                             load_trajectory)
     from repro.bench.registry import load
 
-    cell, kwargs, config = bench_plan(args.benchmark, _parse_set(args.set))
+    try:
+        cell, kwargs, config = bench_plan(args.benchmark,
+                                          _parse_set(args.set))
+    except (UnknownBenchmark, BadOverride) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        raise SystemExit(2)
     runner = cell.resolve()
     takes = inspect.signature(runner).parameters
     if args.profile_out and not args.profile:

@@ -35,6 +35,11 @@ class UnknownBenchmark(KeyError):
     """No cell (or no benchmark cell) matches the requested name."""
 
 
+class BadOverride(ValueError):
+    """A benchmark override the cell cannot take: a key that is neither
+    a cell param nor a runner parameter, or a non-integer seed count."""
+
+
 @dataclass(frozen=True)
 class Cell:
     """One row of the table."""
@@ -135,13 +140,32 @@ def lookup(name: str) -> Tuple[Cell, Dict[str, Any]]:
     return cell, {**cell.params, cell.scaled: int(match.group(2))}
 
 
+def runner_accepts(fn: Callable, name: str) -> bool:
+    """Whether runner ``fn`` takes a keyword argument called ``name``."""
+    try:
+        signature = inspect.signature(fn)
+    except (TypeError, ValueError):
+        return True      # builtins/C callables: assume permissive
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD
+           for p in signature.parameters.values()):
+        return True
+    return name in signature.parameters
+
+
+def _integer(key: str, value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadOverride(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def bench_plan(benchmark: str,
                overrides: Optional[Dict[str, Any]] = None
                ) -> Tuple[Cell, Dict[str, Any], Dict[str, Any]]:
     """A benchmark's cell, its runner kwargs and its entry config.
 
     Overrides replace defaults; a comma-separated string replaces a
-    tuple default.  The config is every resolved param except
+    tuple default.  An override must name a cell param or a runner
+    parameter.  The config is every resolved param except
     :data:`MEASUREMENT_KEYS`, taken before ``seed_base`` expands into
     the ``seeds`` list.
     """
@@ -154,6 +178,8 @@ def bench_plan(benchmark: str,
         raise UnknownBenchmark(f"{benchmark!r} needs a number in place "
                                f"of <N>")
     for key, value in (overrides or {}).items():
+        if key not in params and not runner_accepts(cell.resolve(), key):
+            raise BadOverride(f"{benchmark!r} takes no parameter {key!r}")
         if isinstance(params.get(key), tuple) and isinstance(value, str):
             value = tuple(part for part in value.split(",") if part)
         params[key] = value
@@ -164,9 +190,9 @@ def bench_plan(benchmark: str,
     if "seed_base" in params:
         from repro.sim.rng import derive_root_seed
 
-        base = int(params.pop("seed_base"))
-        params["seeds"] = [derive_root_seed(base, i)
-                           for i in range(int(params["seeds"]))]
+        base = _integer("seed_base", params.pop("seed_base"))
+        params["seeds"] = [derive_root_seed(base, i) for i in
+                           range(_integer("seeds", params["seeds"]))]
     return cell, params, config
 
 

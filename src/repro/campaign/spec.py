@@ -24,13 +24,13 @@ Runners whose signature has no ``seed`` parameter expand to a single
 unseeded cell per param point.
 """
 
-import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.bench.registry import UnknownBenchmark, cell_names, load, lookup
+from repro.bench.registry import (UnknownBenchmark, cell_names, load,
+                                  lookup, runner_accepts)
 from repro.sim.rng import derive_root_seed
 
 
@@ -63,17 +63,6 @@ def canonical_params(params: Dict[str, Any]) -> str:
     objects passed from Python) canonicalise via ``repr``."""
     return json.dumps(params, sort_keys=True, separators=(",", ":"),
                       default=repr)
-
-
-def _runner_accepts(fn: Callable, name: str) -> bool:
-    try:
-        signature = inspect.signature(fn)
-    except (TypeError, ValueError):
-        return True      # builtins/C callables: assume permissive
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD
-           for p in signature.parameters.values()):
-        return True
-    return name in signature.parameters
 
 
 @dataclass
@@ -156,7 +145,7 @@ class SweepSpec:
                 if key == "seed":
                     raise CampaignError(
                         "'seed' belongs in the seeds spec, not params")
-                if not _runner_accepts(fn, key):
+                if not runner_accepts(fn, key):
                     raise CampaignError(
                         f"runner {self.runner!r} accepts no "
                         f"parameter {key!r}")
@@ -178,7 +167,7 @@ class SweepSpec:
 
     def expand(self, default_seeds: List[int]) -> List[TaskCell]:
         fn = resolve_runner(self.runner)
-        seeded = _runner_accepts(fn, "seed")
+        seeded = runner_accepts(fn, "seed")
         seeds: List[Optional[int]] = (
             list(self.seeds if self.seeds is not None else default_seeds)
             if seeded else [None])

@@ -14,7 +14,7 @@ These are the paper's primary contribution in distilled form:
 """
 
 from repro.core.config import StopWatchConfig, PASSTHROUGH, DEFAULT, RESILIENT
-from repro.core.errors import ConfigError, DivergenceError, ProtocolError
+from repro.core.errors import ConfigError, ProtocolError
 from repro.core.median import (
     AGGREGATIONS,
     aggregate,
@@ -42,6 +42,5 @@ __all__ = [
     "MedianAgreement",
     "QuorumRelease",
     "ConfigError",
-    "DivergenceError",
     "ProtocolError",
 ]

@@ -73,10 +73,6 @@ class StopWatchConfig:
     #: route guest output through the egress node (release on 2nd copy)
     egress_enabled: bool = True
 
-    # -- divergence handling (Sec. V-A footnote 4) ------------------------------
-    #: recover a replica whose median delivery time had already passed
-    recover_on_divergence: bool = True
-
     # -- fault tolerance (Sec. II / V availability story) -----------------------
     #: heartbeat-based replica failure detection.  Off by default: the
     #: base protocol (and the paper's prototype) simply stalls when a

@@ -5,16 +5,6 @@ class ConfigError(ValueError):
     """An invalid StopWatch configuration value."""
 
 
-class DivergenceError(RuntimeError):
-    """A replica's state diverged from its siblings.
-
-    In the paper this corresponds to a violated synchrony assumption (the
-    chosen median delivery time had already passed at some replica); the
-    replica must be recovered by copying a sibling's state (Sec. V-A,
-    footnote 4).
-    """
-
-
 class ProtocolError(RuntimeError):
     """A violation of the replica-coordination protocol (e.g. a duplicate
     proposal for the same event from the same replica)."""

@@ -2,15 +2,13 @@
 
 :class:`SubsystemProfiler` accumulates per-callback wall time inside
 the event loop and buckets it by owning subsystem; the exporters turn
-its summary into flamegraph collapsed stacks, speedscope JSON and
-Perfetto counter tracks.  See DESIGN.md § Performance observability.
+its summary into speedscope JSON and Perfetto counter tracks.  See
+DESIGN.md § Performance observability.
 """
 
-from repro.prof.export import (collapsed_stacks, counter_events,
-                               speedscope_document, validate_collapsed,
+from repro.prof.export import (counter_events, speedscope_document,
                                validate_speedscope,
-                               validate_speedscope_file, write_collapsed,
-                               write_speedscope)
+                               validate_speedscope_file, write_speedscope)
 from repro.prof.profiler import (PROFILE_SCHEMA, SUBSYSTEM_PREFIXES,
                                  SubsystemProfiler, describe_callable,
                                  merge_summaries, subsystem_of)
@@ -19,15 +17,12 @@ __all__ = [
     "PROFILE_SCHEMA",
     "SUBSYSTEM_PREFIXES",
     "SubsystemProfiler",
-    "collapsed_stacks",
     "counter_events",
     "describe_callable",
     "merge_summaries",
     "speedscope_document",
     "subsystem_of",
-    "validate_collapsed",
     "validate_speedscope",
     "validate_speedscope_file",
-    "write_collapsed",
     "write_speedscope",
 ]

@@ -1,15 +1,11 @@
-"""Profile exports: collapsed stacks, speedscope JSON, counter tracks.
+"""Profile exports: speedscope JSON and counter tracks.
 
-All three exporters work off the plain-data summary dict
+Both exporters work off the plain-data summary dict
 (:meth:`~repro.prof.profiler.SubsystemProfiler.summary` or
 :func:`~repro.prof.profiler.merge_summaries`), so a profile persisted
 through the campaign cache or a bench artifact exports identically to
 a live one.
 
-- **collapsed stacks** (``subsystem;module;callback weight`` lines,
-  weight in integer microseconds) feed ``flamegraph.pl`` / ``inferno``
-  unchanged; the synthetic two-frame "stack" makes the flamegraph's
-  first tier the subsystem attribution.
 - **speedscope** emits the ``https://www.speedscope.app`` sampled
   profile: one sample per callback with its accumulated seconds as the
   weight.
@@ -24,7 +20,7 @@ gate on malformed output instead of shipping it.
 """
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List
 
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
@@ -37,47 +33,6 @@ _US = 1e6
 def _weight_rows(summary: Dict[str, Any]) -> List[Dict[str, Any]]:
     rows = summary.get("callbacks") or summary.get("hottest") or []
     return [row for row in rows if row.get("seconds", 0.0) > 0.0]
-
-
-# ---------------------------------------------------------------------------
-# collapsed stacks
-# ---------------------------------------------------------------------------
-def collapsed_stacks(summary: Dict[str, Any]) -> str:
-    """Flamegraph-collapsed lines: ``subsystem;module;callback us``.
-
-    Weights are integer microseconds (flamegraph tooling wants integer
-    sample counts); callbacks that measured under half a microsecond
-    still emit weight 1 so the frame survives into the graph.
-    """
-    lines = []
-    for row in _weight_rows(summary):
-        weight = max(1, int(round(row["seconds"] * _US)))
-        frames = ";".join((row.get("subsystem") or "other",
-                           row.get("module") or "?",
-                           str(row.get("callback"))))
-        lines.append(f"{frames} {weight}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def validate_collapsed(text: str) -> List[str]:
-    """Structural check of collapsed-stack output: every non-blank line
-    is ``frame(;frame)* <positive integer>``."""
-    problems: List[str] = []
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return ["collapsed output contains no stack lines"]
-    for number, line in enumerate(lines, start=1):
-        stack, _, weight = line.rpartition(" ")
-        if not stack:
-            problems.append(f"line {number}: no stack before the weight")
-            continue
-        if not weight.isdigit() or int(weight) <= 0:
-            problems.append(
-                f"line {number}: weight {weight!r} is not a positive "
-                f"integer")
-        if any(not frame for frame in stack.split(";")):
-            problems.append(f"line {number}: empty frame in {stack!r}")
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +165,6 @@ def write_speedscope(path: str, summary: Dict[str, Any],
         raise ValueError(f"refusing to write malformed speedscope "
                          f"profile: {problems}")
     atomic_write_text(path, json.dumps(doc, indent=1))
-    return path
-
-
-def write_collapsed(path: str, summary: Dict[str, Any]) -> str:
-    """Atomically write (and re-validate) the collapsed-stack export."""
-    from repro.ioutil import atomic_write_text
-
-    text = collapsed_stacks(summary)
-    problems = validate_collapsed(text)
-    if problems:
-        raise ValueError(f"refusing to write malformed collapsed "
-                         f"stacks: {problems}")
-    atomic_write_text(path, text)
     return path
 
 

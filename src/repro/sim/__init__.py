@@ -1,9 +1,9 @@
 """Discrete-event simulation kernel.
 
 This subpackage is the substrate on which the whole StopWatch reproduction
-runs: a callback-driven discrete-event simulator (calendar queue, periodic
-timers, timer wheels), one-shot events, named deterministic random streams
-and a tracing facility.  Every simulation component schedules plain
+runs: a callback-driven discrete-event simulator (calendar queue, shared
+timer wheels), one-shot events, named deterministic random streams and a
+tracing facility.  Every simulation component schedules plain
 callbacks; the guest engine (:mod:`repro.vmm.hypervisor`) resumes its own
 generator straight from the kernel.
 
@@ -16,7 +16,7 @@ The public surface mirrors what the rest of the library needs:
   harnesses.
 
 The remains of a generator-process library (:class:`Process`,
-:class:`Timeout`, :class:`Channel`) are still exported; no simulation
+:class:`Timeout`, :class:`Interrupt`) are still exported; no simulation
 component uses them.
 """
 
@@ -24,12 +24,10 @@ from repro.sim.errors import (
     SimulationError,
     ProcessFailed,
     Interrupt,
-    ChannelClosed,
 )
 from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Simulator, ScheduledCall
 from repro.sim.process import Process
-from repro.sim.channel import Channel
 from repro.sim.rng import RngRegistry, derive_root_seed
 from repro.sim.monitor import (Trace, TraceRecord, MetricSet, Histogram,
                                JsonlSink, CategoryFilter, category_matches)
@@ -40,7 +38,6 @@ __all__ = [
     "Process",
     "Event",
     "Timeout",
-    "Channel",
     "RngRegistry",
     "derive_root_seed",
     "Trace",
@@ -53,5 +50,4 @@ __all__ = [
     "SimulationError",
     "ProcessFailed",
     "Interrupt",
-    "ChannelClosed",
 ]

@@ -29,7 +29,3 @@ class Interrupt(SimulationError):
     def __init__(self, cause=None):
         super().__init__(f"interrupted: {cause!r}")
         self.cause = cause
-
-
-class ChannelClosed(SimulationError):
-    """Raised when getting from (or putting to) a closed channel."""

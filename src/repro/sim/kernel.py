@@ -95,64 +95,21 @@ class ScheduledCall(list):
         return f"<ScheduledCall t={self[0]:.6f} seq={self[1]} {state}>"
 
 
-class PeriodicCall:
-    """A self-rescheduling timer created by :meth:`Simulator.call_every`.
-
-    Each recurrence draws a fresh sequence number at fire time -- the
-    same FIFO position a hand-rolled ``call_after`` chain that
-    reschedules *before* doing its work would get -- but the kernel
-    reuses this one handle instead of allocating a new
-    :class:`ScheduledCall` per cycle.
-    """
-
-    __slots__ = ("sim", "interval", "fn", "args", "_entry", "cancelled",
-                 "fires")
-
-    def __init__(self, sim: "Simulator", interval: float, fn: Callable,
-                 args: tuple, start_at: float):
-        if interval <= 0:
-            raise SimulationError(
-                f"periodic interval must be positive, got {interval}")
-        self.sim = sim
-        self.interval = interval
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.fires = 0
-        self._entry = sim.call_at(start_at, self._tick)
-
-    def _tick(self) -> None:
-        if self.cancelled:
-            return
-        # reschedule first: the callback sees the next occurrence pending,
-        # exactly like the reschedule-then-work call_after idiom
-        self._entry = self.sim.call_at(self.sim.now + self.interval,
-                                       self._tick)
-        self.fires += 1
-        self.fn(*self.args)
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        self._entry.cancel()
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "active"
-        return (f"<PeriodicCall every={self.interval:.6f} "
-                f"fires={self.fires} {state}>")
-
-
 class TimerWheel:
     """Batches many same-period recurring callbacks onto one kernel timer.
 
     A fleet schedules heartbeat/liveness timers by the hundreds, all with
     the same period.  Registering them here multiplexes every callback
-    sharing a phase slot onto a single :class:`PeriodicCall`, so the
-    kernel pays one queue entry per (period, phase) group per cycle
-    instead of one per timer.  Within a slot, callbacks fire in
-    registration order (deterministic); a callback returning ``False``
-    unregisters itself.
+    sharing a phase slot onto a single kernel entry, so the kernel pays
+    one queue entry per (period, phase) group per cycle instead of one
+    per timer.  Within a slot, callbacks fire in registration order
+    (deterministic); a callback returning ``False`` unregisters itself.
+
+    Each tick reschedules the slot's next entry *before* its callbacks
+    run, so the next tick draws its sequence number at fire time -- the
+    FIFO position a hand-rolled ``call_after`` chain that reschedules
+    before doing its work would get -- and a callback sees it pending.
+    A slot left with no callbacks cancels its entry and is dropped.
 
     ``phase`` is the offset of the first fire from registration time
     (default: one full period, matching ``call_after(period, fn)``).
@@ -166,8 +123,8 @@ class TimerWheel:
                 f"wheel period must be positive, got {period}")
         self.sim = sim
         self.period = period
-        #: first-fire time -> (PeriodicCall, [callbacks])
-        self._slots: Dict[float, tuple] = {}
+        #: first-fire time -> slot ``[first, next entry, [(fn, args)]]``
+        self._slots: Dict[float, list] = {}
         self.count = 0
 
     def add(self, fn: Callable, *args, phase: Optional[float] = None):
@@ -179,11 +136,10 @@ class TimerWheel:
         first = self.sim.now + phase
         slot = self._slots.get(first)
         if slot is None:
-            callbacks: list = []
-            timer = PeriodicCall(self.sim, self.period, self._fire,
-                                 (callbacks,), first)
-            self._slots[first] = slot = (timer, callbacks)
-        slot[1].append((fn, args))
+            slot = [first, None, []]
+            slot[1] = self.sim.call_at(first, self._tick, slot)
+            self._slots[first] = slot
+        slot[2].append((fn, args))
         self.count += 1
         return (slot, (fn, args))
 
@@ -191,18 +147,23 @@ class TimerWheel:
         """Unregister a callback by the token :meth:`add` returned."""
         slot, entry = token
         try:
-            slot[1].remove(entry)
+            slot[2].remove(entry)
         except ValueError:
             return
         self.count -= 1
-        if not slot[1]:
-            slot[0].cancel()
-            for first, existing in list(self._slots.items()):
-                if existing is slot:
-                    del self._slots[first]
-                    break
+        if not slot[2]:
+            self._drop(slot)
 
-    def _fire(self, callbacks: list) -> None:
+    def _drop(self, slot: list) -> None:
+        slot[1].cancel()
+        # a tick whose callback removed the last entry drops it twice
+        if self._slots.get(slot[0]) is slot:
+            del self._slots[slot[0]]
+
+    def _tick(self, slot: list) -> None:
+        slot[1] = self.sim.call_at(self.sim.now + self.period, self._tick,
+                                   slot)
+        callbacks = slot[2]
         # iterate over a snapshot: callbacks may unregister themselves
         for entry in tuple(callbacks):
             fn, args = entry
@@ -213,6 +174,8 @@ class TimerWheel:
                     pass
                 else:
                     self.count -= 1
+        if not callbacks:
+            self._drop(slot)
 
     def __repr__(self) -> str:
         return (f"<TimerWheel period={self.period:.6f} "
@@ -361,21 +324,6 @@ class Simulator:
         if size > self.heap_high_water:
             self.heap_high_water = size
         return entry
-
-    def call_every(self, interval: float, fn: Callable, *args,
-                   start_after: Optional[float] = None) -> PeriodicCall:
-        """Run ``fn(*args)`` every ``interval`` seconds (first fire after
-        ``start_after``, default one interval).  Returns a cancellable
-        :class:`PeriodicCall` that reuses its kernel entry per cycle."""
-        first = self.now + (interval if start_after is None else start_after)
-        if first < self.now:
-            raise SimulationError(f"negative start_after: {start_after}")
-        return PeriodicCall(self, interval, fn, args, first)
-
-    def timer_wheel(self, period: float) -> TimerWheel:
-        """A :class:`TimerWheel` batching same-``period`` recurring
-        callbacks onto shared kernel timers."""
-        return TimerWheel(self, period)
 
     def shared_wheel(self, period: float) -> TimerWheel:
         """The simulation-wide :class:`TimerWheel` for ``period``.

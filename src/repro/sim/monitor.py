@@ -126,20 +126,6 @@ class Trace:
         self._query_cache.clear()    # new category may match old queries
         return bucket
 
-    def wants(self, category: str) -> bool:
-        """True when a record in ``category`` would be retained.
-
-        The cheap guard for callers whose payloads are expensive to
-        build: ``if trace.wants("x.y"): trace.record(now, "x.y", ...)``.
-        Disabled tracing or a filtered category costs one dict probe.
-        """
-        if not self.enabled:
-            return False
-        bucket = self._admitted.get(category, _UNSET)
-        if bucket is _UNSET:
-            bucket = self._admit(category)
-        return bucket is not None
-
     def record(self, time: float, category: str, **payload: Any) -> None:
         if not self.enabled:
             return

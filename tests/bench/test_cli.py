@@ -187,6 +187,33 @@ class TestBenchRunCommand:
                     "--profile-out", str(tmp_path / "p.json"))
         assert not path.exists()
 
+    @pytest.mark.parametrize("name, runner, sets, named", [
+        ("kernel.scale", "repro.analysis.benchkernel:run_kernel_bench",
+         (), "'kernel.scale'"),
+        ("storage.repair",
+         "repro.analysis.storage:run_storage_repair_cell",
+         ("bogus=1",), "'bogus'"),
+        ("chaos.storm", "repro.analysis.chaos:run_chaos_campaign",
+         ("seeds=abc",), "seeds must be an integer"),
+    ], ids=["unknown-benchmark", "unknown-key", "non-integer-seeds"])
+    def test_bad_input_exits_2_before_the_runner_starts(
+            self, tmp_path, capsys, monkeypatch, name, runner, sets,
+            named):
+        @functools.wraps(load(runner))      # keeps the real signature
+        def never_called(*args, **kwargs):
+            raise AssertionError("the runner ran on bad input")
+
+        monkeypatch.setattr(runner.replace(":", "."), never_called)
+        path = tmp_path / "b.json"
+        argv = ["bench", "run", "--benchmark", name, "--output", str(path)]
+        for item in sets:
+            argv += ["--set", item]
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not path.exists()
+
     def test_profile_out_writes_valid_speedscope(self, tmp_path, capsys):
         from repro.prof.export import validate_speedscope_file
         prof = tmp_path / "profile.speedscope.json"

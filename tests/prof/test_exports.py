@@ -4,11 +4,9 @@ import json
 
 import pytest
 
-from repro.prof.export import (collapsed_stacks, counter_events,
-                               speedscope_document, validate_collapsed,
+from repro.prof.export import (counter_events, speedscope_document,
                                validate_speedscope,
-                               validate_speedscope_file, write_collapsed,
-                               write_speedscope)
+                               validate_speedscope_file, write_speedscope)
 from repro.prof.profiler import SubsystemProfiler
 from repro.sim.kernel import Simulator
 
@@ -20,41 +18,6 @@ def sample_summary():
     prof.record(sorted, 0.1, 0.15, 5)
     return prof.summary(loop_seconds=0.6, total_seconds=0.8,
                         release_times=[0.06, 0.17])
-
-
-class TestCollapsed:
-    def test_lines_are_subsystem_module_callback_weight(self):
-        text = collapsed_stacks(sample_summary())
-        lines = text.strip().splitlines()
-        assert len(lines) == 2
-        kernel_line = next(l for l in lines if l.startswith("kernel;"))
-        stack, weight = kernel_line.rsplit(" ", 1)
-        assert stack.split(";")[1] == "repro.sim.kernel"
-        assert int(weight) == 400_000   # 0.4 s in us
-        assert validate_collapsed(text) == []
-
-    def test_sub_microsecond_callbacks_keep_weight_one(self):
-        prof = SubsystemProfiler()
-        prof.record(sorted, 1e-9, 0.0, 1)
-        text = collapsed_stacks(prof.summary())
-        assert text.strip().endswith(" 1")
-        assert validate_collapsed(text) == []
-
-    @pytest.mark.parametrize("text", [
-        "", "no-weight-line\n", "stack notanumber\n", "stack -3\n",
-        "a;;b 5\n",
-    ])
-    def test_validator_rejects_malformed(self, text):
-        assert validate_collapsed(text) != []
-
-    def test_write_collapsed_roundtrip(self, tmp_path):
-        path = str(tmp_path / "profile.collapsed")
-        write_collapsed(path, sample_summary())
-        assert validate_collapsed(open(path).read()) == []
-
-    def test_write_refuses_empty_profile(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_collapsed(str(tmp_path / "x"), {"callbacks": []})
 
 
 class TestSpeedscope:

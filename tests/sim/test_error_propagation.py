@@ -1,8 +1,7 @@
-"""Errors must surface, not vanish: channel closure wakes blocked
-getters with ChannelClosed, a failed process propagates its original
-cause through ProcessFailed, and a guest thread crashing when its host
-dies mid-quantum fails the engine's terminal event as a chained
-failure."""
+"""Errors must surface, not vanish: a failed process propagates its
+original cause through ProcessFailed, and a guest thread crashing when
+its host dies mid-quantum fails the engine's terminal event as a
+chained failure."""
 
 import random
 
@@ -12,62 +11,9 @@ from repro.machine import Host, MultiprocessorRuntime
 from repro.machine.multiproc import ThreadCrashed
 from repro.net import Network
 from repro.core import PASSTHROUGH
-from repro.sim import Channel, Simulator
-from repro.sim.errors import ChannelClosed, ProcessFailed
+from repro.sim import Simulator
+from repro.sim.errors import ProcessFailed
 from repro.vmm import ReplicaVMM
-
-
-class TestChannelClosed:
-    def test_close_fails_blocked_getters(self):
-        sim = Simulator(seed=1)
-        channel = Channel(sim, name="work")
-        seen = []
-
-        def consumer():
-            try:
-                yield channel.get()
-            except ChannelClosed as error:
-                seen.append(error)
-
-        sim.process(consumer())
-        sim.call_after(0.1, channel.close)
-        sim.run(until=0.2)
-        assert len(seen) == 1
-        assert "work" in str(seen[0])
-
-    def test_get_after_close_drained_fails(self):
-        sim = Simulator(seed=1)
-        channel = Channel(sim, name="work")
-        channel.put("last")
-        channel.close()
-        outcomes = []
-
-        def consumer():
-            item = yield channel.get()   # drains the buffered item
-            outcomes.append(item)
-            try:
-                yield channel.get()
-            except ChannelClosed:
-                outcomes.append("closed")
-
-        sim.process(consumer())
-        sim.run(until=0.1)
-        assert outcomes == ["last", "closed"]
-
-    def test_unhandled_close_fails_the_process(self):
-        sim = Simulator(seed=1)
-        channel = Channel(sim, name="work")
-
-        def consumer():
-            yield channel.get()
-
-        proc = sim.process(consumer())
-        sim.call_after(0.1, channel.close)
-        sim.run(until=0.2)
-        assert proc.triggered and not proc.ok
-        failure = proc.value
-        assert isinstance(failure, ProcessFailed)
-        assert isinstance(failure.__cause__, ChannelClosed)
 
 
 class TestProcessFailed:

@@ -1,7 +1,12 @@
 """Tests for the discrete-event loop itself."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro.sim
 from repro.sim import Simulator, SimulationError
 
 
@@ -216,3 +221,26 @@ def test_nested_scheduling_during_run():
     sim.run()
     assert fired == [0, 1, 2, 3]
     assert sim.now == 4.0
+
+
+def test_package_exports_exactly_the_kernel_surface():
+    assert sorted(repro.sim.__all__) == sorted([
+        "Simulator", "ScheduledCall", "Process", "Event", "Timeout",
+        "RngRegistry", "derive_root_seed", "Trace", "TraceRecord",
+        "MetricSet", "Histogram", "JsonlSink", "CategoryFilter",
+        "category_matches", "SimulationError", "ProcessFailed",
+        "Interrupt"])
+
+
+def test_importing_the_package_loads_only_its_own_modules():
+    src = os.path.dirname(os.path.dirname(os.path.dirname(
+        repro.sim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.sim; print(' '.join(sorted(m for m in "
+         "sys.modules if m.startswith('repro.sim'))))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["repro.sim"] + [
+        f"repro.sim.{name}" for name in
+        ("errors", "events", "kernel", "monitor", "process", "rng")]

@@ -1,5 +1,5 @@
 """Calendar-queue edge cases, the clock-rewind regression, and the
-recurring-timer primitives (``call_every`` / ``TimerWheel``).
+recurring-timer primitive (``TimerWheel``, via ``shared_wheel``).
 
 The clock-rewind test is the regression fixture for the ``run(until=T,
 max_events=N)`` bug: the old kernel snapped ``now = T`` whenever ``until``
@@ -172,56 +172,10 @@ class TestCalendarVsReferenceHeap:
         assert sim.far_high_water >= 3
 
 
-class TestPeriodicCall:
-    def test_call_every_fires_on_interval(self):
-        sim = Simulator()
-        ticks = []
-        timer = sim.call_every(1.0, lambda: ticks.append(sim.now))
-        sim.run(until=5.5)
-        assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert timer.fires == 5
-
-    def test_call_every_start_after(self):
-        sim = Simulator()
-        ticks = []
-        sim.call_every(1.0, lambda: ticks.append(sim.now), start_after=0.25)
-        sim.run(until=3.0)
-        assert ticks == [0.25, 1.25, 2.25]
-
-    def test_cancel_stops_recurrence(self):
-        sim = Simulator()
-        ticks = []
-        timer = sim.call_every(1.0, lambda: ticks.append(sim.now))
-        sim.call_at(2.5, timer.cancel)
-        sim.run(until=10.0)
-        assert ticks == [1.0, 2.0]
-        assert timer.cancelled
-        assert sim.pending_events == 0
-
-    def test_nonpositive_interval_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.call_every(0.0, lambda: None)
-
-    def test_callback_sees_next_occurrence_pending(self):
-        sim = Simulator()
-        observed = []
-
-        def probe():
-            # reschedule-before-work: while the callback runs, the next
-            # tick is already queued
-            observed.append(sim.pending_events)
-
-        timer = sim.call_every(1.0, probe)
-        sim.run(until=2.5)
-        assert observed == [1, 1]
-        timer.cancel()
-
-
 class TestTimerWheel:
     def test_same_phase_timers_share_one_kernel_entry(self):
         sim = Simulator()
-        wheel = sim.timer_wheel(1.0)
+        wheel = sim.shared_wheel(1.0)
         order = []
         wheel.add(order.append, "a")
         wheel.add(order.append, "b")
@@ -233,7 +187,7 @@ class TestTimerWheel:
 
     def test_phase_offsets_fire_independently(self):
         sim = Simulator()
-        wheel = sim.timer_wheel(1.0)
+        wheel = sim.shared_wheel(1.0)
         ticks = []
         wheel.add(lambda: ticks.append(("whole", sim.now)))
         wheel.add(lambda: ticks.append(("half", sim.now)), phase=0.5)
@@ -243,7 +197,7 @@ class TestTimerWheel:
 
     def test_callback_returning_false_unregisters(self):
         sim = Simulator()
-        wheel = sim.timer_wheel(1.0)
+        wheel = sim.shared_wheel(1.0)
         ticks = []
 
         def once():
@@ -258,7 +212,7 @@ class TestTimerWheel:
 
     def test_remove_last_timer_cancels_kernel_entry(self):
         sim = Simulator()
-        wheel = sim.timer_wheel(1.0)
+        wheel = sim.shared_wheel(1.0)
         token = wheel.add(lambda: None)
         wheel.remove(token)
         assert wheel.count == 0
@@ -270,5 +224,44 @@ class TestTimerWheel:
         sim = Simulator()
         assert sim.shared_wheel(0.5) is sim.shared_wheel(0.5)
         assert sim.shared_wheel(0.5) is not sim.shared_wheel(0.25)
-        # but timer_wheel() always builds a private one
-        assert sim.timer_wheel(0.5) is not sim.shared_wheel(0.5)
+
+    def test_cancel_stops_recurrence(self):
+        sim = Simulator()
+        wheel = sim.shared_wheel(1.0)
+        ticks = []
+        token = wheel.add(lambda: ticks.append(sim.now))
+        sim.call_at(2.5, wheel.remove, token)
+        sim.run(until=10.0)
+        assert ticks == [1.0, 2.0]
+        assert wheel.count == 0
+        assert sim.pending_events == 0
+
+    def test_nonpositive_interval_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.shared_wheel(0.0)
+
+    def test_callback_sees_next_occurrence_pending(self):
+        sim = Simulator()
+        wheel = sim.shared_wheel(1.0)
+        observed = []
+
+        def probe():
+            # reschedule-before-work: while the slot's callbacks run,
+            # its next tick is already queued
+            observed.append(sim.pending_events)
+
+        wheel.add(probe)
+        sim.run(until=2.5)
+        assert observed == [1, 1]
+
+    def test_slot_emptied_by_its_own_tick_stops_ticking(self):
+        # the slot's last callback unregisters itself: the slot must
+        # cancel its next tick, not keep firing with nothing to run
+        sim = Simulator()
+        wheel = sim.shared_wheel(1.0)
+        wheel.add(lambda: False)
+        sim.run(until=10.5)
+        assert sim.event_count == 1
+        assert sim.pending_events == 0
+        assert wheel.count == 0
