@@ -35,7 +35,8 @@ from repro.workloads.fileserver import (
     UdpFileServer,
 )
 from repro.workloads.nfs import NfsServer, NhfsstoneClient
-from repro.workloads.parsec import PARSEC_KERNELS, RunCollector
+from repro.workloads.parsec import (PARSEC_KERNELS, RunCollector,
+                                    scale_problem)
 
 #: Fig. 7 reference values from the paper: (baseline ms, stopwatch ms,
 #: disk interrupts)
@@ -216,6 +217,13 @@ def fig7_parsec(kernels: Optional[Sequence[str]] = None,
     """Fig. 7 rows: (kernel, base_s, sw_s, disk interrupts, paper refs)."""
     if kernels is None:
         kernels = list(PARSEC_KERNELS)
+    unknown = [name for name in kernels if name not in PARSEC_KERNELS]
+    if unknown:
+        raise ValueError(f"kernels must name PARSEC kernels "
+                         f"{sorted(PARSEC_KERNELS)}, got {unknown}")
+    problem = scale_problem(scale)
+    if problem:
+        raise ValueError(problem)
     if config_sw is None:
         config_sw = DEFAULT.with_overrides(delta_disk=0.008)
     rows = []

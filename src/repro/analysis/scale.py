@@ -21,6 +21,8 @@ rows are plain data, so campaign workers can cache them.
 
 import hashlib
 import json
+import math
+import numbers
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import percentile
@@ -90,6 +92,10 @@ def run_scale_cell(spec: ScenarioSpec, duration: float = 4.0,
     """
     import time as _time
 
+    if isinstance(duration, bool) or not isinstance(duration, numbers.Real) \
+            or not 0 < duration < math.inf:
+        raise ValueError(
+            f"duration must be a finite number > 0, got {duration!r}")
     cell_started = _time.perf_counter()
     sim = Simulator(seed=seed, profile=profile, trace=Trace(
         categories=SCALE_TRACE_CATEGORIES, max_per_category=TRACE_CAP))
@@ -125,7 +131,7 @@ def run_scale_cell(spec: ScenarioSpec, duration: float = 4.0,
         "far_high_water": stats["far_high_water"],
         "packets_replicated": built.cloud.packets_replicated,
         "packets_released": released,
-        "releases_per_sim_second": released / duration if duration else 0.0,
+        "releases_per_sim_second": released / duration,
         "mediation_p50": percentile(delays, 50) if delays else 0.0,
         "mediation_p95": percentile(delays, 95) if delays else 0.0,
         "mediated_flows": len(delays),

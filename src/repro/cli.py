@@ -52,10 +52,20 @@ def _ints(text: str) -> List[int]:
         values = [int(part) for part in text.split(",") if part]
     except ValueError:
         values = []
-    if not values:
+    if not values or min(values) <= 0:
         raise argparse.ArgumentTypeError(
-            f"must be comma-separated integers, got {text!r}")
+            f"must be comma-separated positive integers, got {text!r}")
     return values
+
+
+def _kernels(text: str) -> List[str]:
+    from repro.workloads.parsec import PARSEC_KERNELS
+    names = [part for part in text.split(",") if part]
+    if not names or not set(names) <= set(PARSEC_KERNELS):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated PARSEC kernels "
+            f"({','.join(PARSEC_KERNELS)}), got {text!r}")
+    return names
 
 
 def _positive_int(text: str) -> int:
@@ -116,8 +126,7 @@ def cmd_fig6(args) -> None:
 
 def cmd_fig7(args) -> None:
     from repro.analysis import fig7_parsec, format_table
-    kernels = args.kernels.split(",") if args.kernels else None
-    rows = fig7_parsec(kernels=kernels, scale=args.scale)
+    rows = fig7_parsec(kernels=args.kernels, scale=args.scale)
     rendered = [(n, b * 1000, s * 1000, s / b, i, pb * 1000, ps * 1000, pi)
                 for n, b, s, i, pb, ps, pi in rows]
     print("Fig. 7: PARSEC kernels")
@@ -424,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig1", help="analytic median justification")
-    p.add_argument("--victim-rate", type=float, default=0.5)
+    p.add_argument("--victim-rate", type=_positive_float, default=0.5)
     p.set_defaults(fn=cmd_fig1)
 
     p = sub.add_parser("fig4", help="empirical coresidence detection")
@@ -442,19 +451,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fig6)
 
     p = sub.add_parser("fig7", help="PARSEC kernels")
-    p.add_argument("--kernels", default=None)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--kernels", type=_kernels, default=None)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p.set_defaults(fn=cmd_fig7)
 
     p = sub.add_parser("fig8", help="StopWatch vs uniform noise")
-    p.add_argument("--victim-rate", type=float, default=0.5)
+    p.add_argument("--victim-rate", type=_positive_float, default=0.5)
     p.set_defaults(fn=cmd_fig8)
 
     p = sub.add_parser("placement", help="Sec. VIII utilisation")
     p.set_defaults(fn=cmd_placement)
 
     p = sub.add_parser("covert", help="covert-channel BER")
-    p.add_argument("--bits", type=int, default=24)
+    p.add_argument("--bits", type=_positive_int, default=24)
     p.set_defaults(fn=cmd_covert)
 
     p = sub.add_parser("collab", help="Sec. IX collaborating attackers")
@@ -516,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "values accepted, e.g. --workload-param n=4)")
     p.add_argument("--clients", type=_positive_int, default=1,
                    help="client machines per tenant VM")
-    p.add_argument("--rate", type=float, default=40.0,
+    p.add_argument("--rate", type=_positive_float, default=40.0,
                    help="per-client request rate (echo/nfs)")
     p.add_argument("--machines", type=_positive_int, default=None,
                    help="pin the fleet size (default: auto-size)")

@@ -15,17 +15,13 @@ The public surface mirrors what the rest of the library needs:
 - :class:`Trace` -- an in-memory event recorder used by the experiment
   harnesses.
 
-The remains of a generator-process library (:class:`Process`,
-:class:`Timeout`, :class:`Interrupt`) are still exported; no simulation
-component uses them.
+What is left of a generator-process library is :class:`Process`: a
+numeric yield sleeps through ``call_after``, and nothing interrupts a
+wait.  No simulation component uses it.
 """
 
-from repro.sim.errors import (
-    SimulationError,
-    ProcessFailed,
-    Interrupt,
-)
-from repro.sim.events import Event, Timeout
+from repro.sim.errors import SimulationError, ProcessFailed
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator, ScheduledCall
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry, derive_root_seed
@@ -37,7 +33,6 @@ __all__ = [
     "ScheduledCall",
     "Process",
     "Event",
-    "Timeout",
     "RngRegistry",
     "derive_root_seed",
     "Trace",
@@ -49,5 +44,4 @@ __all__ = [
     "category_matches",
     "SimulationError",
     "ProcessFailed",
-    "Interrupt",
 ]

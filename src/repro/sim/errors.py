@@ -17,15 +17,3 @@ class ProcessFailed(SimulationError):
         super().__init__(f"process {process!r} failed: {cause!r}")
         self.process = process
         self.__cause__ = cause
-
-
-class Interrupt(SimulationError):
-    """Thrown into a process that another process interrupted.
-
-    The interrupting party supplies an arbitrary ``cause`` object which the
-    interrupted process can inspect to decide how to react.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(f"interrupted: {cause!r}")
-        self.cause = cause

@@ -1,4 +1,4 @@
-"""Waitables: one-shot events and timeouts.
+"""Waitables: one-shot events.
 
 A *waitable* is anything a callback may ``add_callback`` to (or a
 generator process may ``yield``).  The contract is small:
@@ -39,10 +39,6 @@ class Event:
         else:
             self._callbacks.append(fn)
 
-    def remove_callback(self, fn: Callable) -> None:
-        if fn in self._callbacks:
-            self._callbacks.remove(fn)
-
     def trigger(self, value=None) -> "Event":
         if self.triggered:
             raise SimulationError(f"{self!r} triggered twice")
@@ -67,24 +63,3 @@ class Event:
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-class Timeout(Event):
-    """An event that self-triggers ``delay`` seconds after creation."""
-
-    __slots__ = ("delay", "_call")
-
-    def __init__(self, sim, delay: float, value=None):
-        super().__init__(sim)
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        self.delay = delay
-        self._call = sim.call_at(sim.now + delay, self._fire, value)
-
-    def _fire(self, value) -> None:
-        if not self.triggered:
-            self.trigger(value)
-
-    def cancel(self) -> None:
-        """Cancel the pending timeout (no effect once triggered)."""
-        self._call.cancel()

@@ -35,7 +35,7 @@ from bisect import insort
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 #: entry state machine: scheduled -> fired | cancelled
 _PENDING, _FIRED, _CANCELLED = 0, 1, 2
@@ -345,10 +345,6 @@ class Simulator:
         from repro.sim.process import Process
 
         return Process(self, generator, name=name)
-
-    def timeout(self, delay: float, value=None):
-        """Return an :class:`~repro.sim.events.Timeout` waitable."""
-        return Timeout(self, delay, value)
 
     def event(self):
         """Return a fresh, untriggered :class:`~repro.sim.events.Event`."""

@@ -2,7 +2,9 @@
 
 A process is a Python generator driven by the simulator.  It may yield:
 
-- a ``float``/``int`` -- sleep for that many simulated seconds;
+- a ``float``/``int`` -- sleep for that many simulated seconds (one
+  :meth:`~repro.sim.kernel.Simulator.call_after` entry; a negative or
+  NaN delay raises :class:`~repro.sim.errors.SimulationError`);
 - any waitable (:class:`~repro.sim.events.Event` and friends) -- block
   until it triggers; the waitable's value is returned from the ``yield``;
 - another :class:`Process` -- join it; the joined process's return value
@@ -10,17 +12,17 @@ A process is a Python generator driven by the simulator.  It may yield:
   :class:`~repro.sim.errors.ProcessFailed`).
 
 A process is itself a waitable, triggered at termination with the
-generator's return value.
+generator's return value.  Nothing can interrupt a process's wait.
 """
 
-from repro.sim.errors import Interrupt, ProcessFailed, SimulationError
+from repro.sim.errors import ProcessFailed, SimulationError
 from repro.sim.events import Event
 
 
 class Process(Event):
     """A running simulated activity.  Create via ``sim.process(gen)``."""
 
-    __slots__ = ("name", "_generator", "_waiting_on", "_pending_interrupt")
+    __slots__ = ("name", "_generator")
 
     _anonymous_counter = 0
 
@@ -35,8 +37,6 @@ class Process(Event):
             name = f"process-{Process._anonymous_counter}"
         self.name = name
         self._generator = generator
-        self._waiting_on = None
-        self._pending_interrupt = None
         sim.call_soon(self._resume, None, None)
 
     # -- public API ----------------------------------------------------
@@ -45,26 +45,8 @@ class Process(Event):
         """True while the generator has not terminated."""
         return not self.triggered
 
-    def interrupt(self, cause=None) -> None:
-        """Throw :class:`Interrupt` into the process at its current wait.
-
-        Interrupting a dead process is an error; interrupting a process
-        that already has a pending interrupt replaces the cause.
-        """
-        if not self.alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name}")
-        self._pending_interrupt = Interrupt(cause)
-        waited = self._waiting_on
-        if waited is not None:
-            waited.remove_callback(self._wake)
-            self._waiting_on = None
-            self.sim.call_soon(self._resume, None, None)
-        # If _waiting_on is None the process is mid-step or about to be
-        # resumed; the pending interrupt will be delivered at that resume.
-
     # -- driver ----------------------------------------------------------
     def _wake(self, waitable) -> None:
-        self._waiting_on = None
         if waitable.ok:
             self._resume(waitable.value, None)
         else:
@@ -73,9 +55,6 @@ class Process(Event):
     def _resume(self, value, exception) -> None:
         if self.triggered:
             return
-        if self._pending_interrupt is not None:
-            exception, value = self._pending_interrupt, None
-            self._pending_interrupt = None
         try:
             if exception is not None:
                 target = self._generator.throw(exception)
@@ -84,10 +63,6 @@ class Process(Event):
         except StopIteration as stop:
             self.trigger(stop.value)
             return
-        except Interrupt as unhandled:
-            # An interrupt the process chose not to handle kills it.
-            self.fail(unhandled)
-            return
         except Exception as error:  # noqa: BLE001 - deliberate catch-all
             self.fail(ProcessFailed(self, error))
             return
@@ -95,7 +70,8 @@ class Process(Event):
 
     def _wait_for(self, target) -> None:
         if isinstance(target, (int, float)):
-            target = self.sim.timeout(target)
+            self.sim.call_after(target, self._resume, None, None)
+            return
         try:
             add_callback = target.add_callback
         except AttributeError:
@@ -107,7 +83,6 @@ class Process(Event):
                 ),
             )
             return
-        self._waiting_on = target
         add_callback(self._wake)
 
     def __repr__(self) -> str:

@@ -6,7 +6,7 @@ exits are the **only** points where interrupts are injected (Sec. IV-B),
 which quantises all guest-visible event timing onto the guest's own
 progress -- exactly the paper's mechanism.
 
-Interrupt sources and their delivery disciplines (Sec. IV-V):
+The interrupt sources and their delivery disciplines (Sec. IV-V):
 
 - PIT timer: injected on the virtual-time schedule ``k / pit_hz``.
 - Disk/DMA: delivery at ``request_virt + Δd``; the physical access is

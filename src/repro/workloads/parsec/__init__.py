@@ -16,7 +16,8 @@ and replica-deterministic, so the determinism tests can compare results
 across replicas.
 """
 
-from repro.workloads.parsec.base import ParsecWorkload, RunCollector
+from repro.workloads.parsec.base import (ParsecWorkload, RunCollector,
+                                         scale_problem)
 from repro.workloads.parsec.kernels import (
     BlackScholes,
     Canneal,
@@ -37,4 +38,5 @@ __all__ = [
     "StreamCluster",
     "BlackScholesParallel",
     "PARSEC_KERNELS",
+    "scale_problem",
 ]

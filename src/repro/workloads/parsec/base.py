@@ -9,6 +9,7 @@ finish time is the egress-median of the replicas' finishes.
 """
 
 import math
+import numbers
 from typing import Any, List, Optional, Tuple
 
 from repro.net.udp import UdpStack
@@ -16,6 +17,14 @@ from repro.workloads.base import GuestWorkload
 
 COLLECTOR_PORT = 7100
 DISK_BLOCK = 4096
+
+
+def scale_problem(scale) -> Optional[str]:
+    """Why ``scale`` cannot size a kernel's plan, or None if it can."""
+    if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
+            or not math.isfinite(scale) or scale <= 0:
+        return f"scale must be a finite number > 0, got {scale!r}"
+    return None
 
 
 class ParsecWorkload(GuestWorkload):

@@ -62,6 +62,17 @@ class TestRunKernelBench:
         with pytest.raises(ValueError):
             run_kernel_bench(repeats=0)
 
+    @pytest.mark.parametrize("duration", [0, -1, float("nan"),
+                                          float("inf"), "2"])
+    def test_duration_must_be_finite_and_positive(self, duration,
+                                                  monkeypatch):
+        def never_built(*args, **kwargs):
+            raise AssertionError("the cell ran before duration was checked")
+
+        monkeypatch.setattr("repro.analysis.scale.Simulator", never_built)
+        with pytest.raises(ValueError, match="duration"):
+            run_kernel_bench(tenants=1, duration=duration, repeats=1)
+
     def test_profiled_repeat_attaches_summary_same_signature(self):
         result = small_bench(repeats=1, profile=True)
         profile = result["profile"]

@@ -29,6 +29,11 @@ class TestParser:
         args = build_parser().parse_args(["fig5", "--sizes", "10,20"])
         assert args.sizes == [10, 20]
 
+    def test_kernel_list_parsing(self):
+        args = build_parser().parse_args(["fig7", "--kernels",
+                                          "ferret,dedup"])
+        assert args.kernels == ["ferret", "dedup"]
+
     @pytest.mark.parametrize("argv,option", [
         (["fig5", "--sizes", "abc"], "--sizes"),
         (["scale", "--tenants", "x"], "--tenants"),
@@ -39,6 +44,15 @@ class TestParser:
         (["observe", "--duration", "-1"], "--duration"),
         (["chaos", "--duration", "inf"], "--duration"),
         (["scale", "--duration", "0"], "--duration"),
+        (["fig7", "--scale", "0"], "--scale"),
+        (["fig7", "--kernels", "ferret,bogus"], "--kernels"),
+        (["fig5", "--sizes", "0"], "--sizes"),
+        (["fig6", "--rates", "25,-5"], "--rates"),
+        (["scale", "--tenants", "0"], "--tenants"),
+        (["fig1", "--victim-rate", "nan"], "--victim-rate"),
+        (["fig8", "--victim-rate", "0"], "--victim-rate"),
+        (["scale", "--rate", "-5"], "--rate"),
+        (["covert", "--bits", "0"], "--bits"),
     ])
     def test_bad_numbers_exit_2_naming_the_option(self, argv, option,
                                                   capsys):

@@ -122,6 +122,20 @@ class TestSimulatorBackedRunners:
         assert sw_t > base_t > 0
         assert PARSEC_PAPER_VALUES["streamcluster"][2] == paper_ints
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"kernels": ("streamcluster",), "scale": 0}, "scale"),
+        ({"kernels": ("bogus",)}, "kernels"),
+    ])
+    def test_fig7_rejects_bad_input_before_simulating(self, kwargs, field,
+                                                      monkeypatch):
+        def never_built(*args, **kwargs):
+            raise AssertionError("fig7 simulated before checking its input")
+
+        monkeypatch.setattr("repro.analysis.experiments.Simulator",
+                            never_built)
+        with pytest.raises(ValueError, match=field):
+            fig7_parsec(**kwargs)
+
     def test_delta_offsets_in_paper_range(self):
         result = delta_offset_translation(duration=6.0)
         net = result["net_delays"]

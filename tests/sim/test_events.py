@@ -1,4 +1,4 @@
-"""Tests for events and timeouts."""
+"""Tests for one-shot events."""
 
 import pytest
 
@@ -51,17 +51,3 @@ def test_failed_event_raises_in_waiter():
     sim.call_after(1.0, event.fail, RuntimeError("bad"))
     sim.run()
     assert caught == ["bad"]
-
-
-def test_timeout_cancel():
-    sim = Simulator()
-    timeout = sim.timeout(5.0)
-    timeout.cancel()
-    sim.run()
-    assert not timeout.triggered
-
-
-def test_negative_timeout_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.timeout(-1.0)

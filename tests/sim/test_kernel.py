@@ -225,11 +225,10 @@ def test_nested_scheduling_during_run():
 
 def test_package_exports_exactly_the_kernel_surface():
     assert sorted(repro.sim.__all__) == sorted([
-        "Simulator", "ScheduledCall", "Process", "Event", "Timeout",
-        "RngRegistry", "derive_root_seed", "Trace", "TraceRecord",
-        "MetricSet", "Histogram", "JsonlSink", "CategoryFilter",
-        "category_matches", "SimulationError", "ProcessFailed",
-        "Interrupt"])
+        "Simulator", "ScheduledCall", "Process", "Event", "RngRegistry",
+        "derive_root_seed", "Trace", "TraceRecord", "MetricSet",
+        "Histogram", "JsonlSink", "CategoryFilter", "category_matches",
+        "SimulationError", "ProcessFailed"])
 
 
 def test_importing_the_package_loads_only_its_own_modules():

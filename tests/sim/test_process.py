@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, Interrupt, ProcessFailed, SimulationError
+from repro.sim import Simulator, ProcessFailed, SimulationError
 
 
 def test_process_sleeps_with_numeric_yield():
@@ -74,46 +74,6 @@ def test_wait_on_event_receives_value():
     assert sim.now == 2.0
 
 
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield 100.0
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    proc = sim.process(sleeper())
-    sim.call_after(3.0, proc.interrupt, "wake-up")
-    sim.run()
-    assert log == [(3.0, "wake-up")]
-
-
-def test_unhandled_interrupt_kills_process():
-    sim = Simulator()
-
-    def sleeper():
-        yield 100.0
-
-    proc = sim.process(sleeper())
-    sim.call_after(1.0, proc.interrupt, None)
-    sim.run()
-    assert proc.triggered and not proc.ok
-
-
-def test_interrupt_dead_process_is_error():
-    sim = Simulator()
-
-    def quick():
-        yield 0.1
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_yielding_garbage_fails_process():
     sim = Simulator()
 
@@ -155,7 +115,7 @@ def test_two_processes_interleave():
     sim.process(ticker("a", 1.0))
     sim.process(ticker("b", 1.5))
     sim.run()
-    # At the t=3.0 tie, b's timeout was scheduled at t=1.5 (before a's at
+    # At the t=3.0 tie, b's sleep was scheduled at t=1.5 (before a's at
     # t=2.0), so FIFO tie-breaking wakes b first.
     assert order == [
         ("a", 1.0), ("b", 1.5), ("a", 2.0), ("b", 3.0), ("a", 3.0), ("b", 4.5),
