@@ -274,6 +274,14 @@ def _cell_once(seed: int, scenario: str, duration: float,
     return result, chaos_signature(trace)
 
 
+def _check_cell_duration(duration: float) -> None:
+    """A cell must outlast its quiet ramp and its drain."""
+    if duration <= CELL_DRAIN + CELL_STORM_START:
+        raise ValueError(
+            f"duration must exceed {CELL_DRAIN + CELL_STORM_START}s "
+            f"(storm ramp + drain), got {duration}")
+
+
 def run_chaos_cell(seed: int = 7, scenario: str = "single",
                    duration: float = 6.0, rate: float = 1.2,
                    check_determinism: bool = True,
@@ -292,10 +300,7 @@ def run_chaos_cell(seed: int = 7, scenario: str = "single",
     profiler-neutrality check -- a profiled run and its unprofiled
     replay must produce identical fault/heal/release records.
     """
-    if duration <= CELL_DRAIN + CELL_STORM_START:
-        raise ValueError(
-            f"duration must exceed {CELL_DRAIN + CELL_STORM_START}s "
-            f"(storm ramp + drain), got {duration}")
+    _check_cell_duration(duration)
     result, signature = _cell_once(seed, scenario, duration, rate,
                                    profile=profile)
     replay = (_cell_once(seed, scenario, duration, rate)[1]
@@ -326,6 +331,7 @@ def run_chaos_campaign(seeds: Optional[Sequence[int]] = None,
     from repro.campaign.spec import CampaignSpec, SweepSpec
     from repro.sim.rng import derive_root_seed
 
+    _check_cell_duration(duration)
     if seeds is None:
         seeds = [derive_root_seed(101, i) for i in range(7)]
     params = {"duration": duration, "rate": rate,

@@ -10,8 +10,6 @@ module-level function whose kwargs are picklable plain data.
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cloud.fabric import Cloud
 from repro.core.config import StopWatchConfig, DEFAULT, PASSTHROUGH
 from repro.sim.kernel import Simulator

@@ -16,7 +16,8 @@ that is the CI job's cheap post-hoc check.  Both exit non-zero on a
 regression; ``--gate`` additionally fails when there is no comparable
 history at all (a gate that silently checks nothing).  ``run`` also
 exits non-zero when the cell's own gate fails (the entry's ``ok`` is
-false).
+false), and exits 2 with one ``error:`` line, appending nothing, on an
+unknown benchmark, a bad ``--set`` key or a value the runner rejects.
 """
 
 import argparse
@@ -115,7 +116,11 @@ def cmd_bench_run(args) -> None:
         kwargs["profile"] = True
     if "progress" in takes and not args.json:
         kwargs["progress"] = print
-    result = runner(**kwargs)
+    try:
+        result = runner(**kwargs)
+    except ValueError as exc:       # a runner's own check on its params
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     entry = cell_entry(args.benchmark, result, config=config,
                        label=args.label)
     path = args.output or default_path(args.benchmark)

@@ -44,7 +44,7 @@ of them.
 import argparse
 import json
 import sys
-from typing import List
+from typing import List, Optional
 
 
 def _ints(text: str) -> List[int]:
@@ -82,6 +82,28 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a positive number, got {text}")
     return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Also runs the command's ``check(args)``, for flag combinations no
+    single flag's type can reject: the message it returns exits 2, as
+    a bad flag value does."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        check = getattr(namespace, "check", None)
+        problem = check(namespace) if check else None
+        if problem:
+            self.error(problem)
+        return namespace, extras
 
 
 def cmd_fig1(args) -> None:
@@ -314,6 +336,14 @@ def cmd_chaos(args) -> None:
             raise SystemExit(1)
 
 
+def _chaos_check(args) -> Optional[str]:
+    """A replica can only be restarted once it has crashed."""
+    if args.restart_at < args.crash_at:
+        return (f"argument --restart-at: must not precede --crash-at "
+                f"({args.crash_at:g}), got {args.restart_at:g}")
+    return None
+
+
 def cmd_scale(args) -> None:
     from repro.analysis import format_table
     from repro.analysis.scale import build_scale_spec, run_scale_cell
@@ -430,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Regenerate figures from the StopWatch paper "
                     "(Li/Gao/Reiter, DSN 2013) on the simulator.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     p = sub.add_parser("fig1", help="analytic median justification")
     p.add_argument("--victim-rate", type=_positive_float, default=0.5)
@@ -493,18 +524,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="slowest flows and hottest callbacks to list")
     p.set_defaults(fn=cmd_observe)
 
+    from repro.core.config import RESILIENT
     p = sub.add_parser("chaos", help="crash/recover a replica mid-run "
                                      "under load")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--duration", type=_positive_float, default=3.0)
-    p.add_argument("--crash-at", type=float, default=0.9)
-    p.add_argument("--restart-at", type=float, default=2.0)
+    p.add_argument("--crash-at", type=_non_negative_float, default=0.9)
+    p.add_argument("--restart-at", type=_non_negative_float, default=2.0)
     p.add_argument("--replica", type=int, default=2,
+                   choices=range(RESILIENT.replicas),
                    help="echo replica id to crash")
     p.add_argument("--check-determinism", action="store_true",
                    help="run twice with the same seed and compare "
                         "fault/recovery/heal/release signatures")
-    p.set_defaults(fn=cmd_chaos)
+    p.set_defaults(fn=cmd_chaos, check=_chaos_check)
 
     p = sub.add_parser("scale", help="multi-tenant fleet scaling: "
                                      "throughput and mediation delay vs "

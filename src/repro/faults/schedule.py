@@ -43,6 +43,7 @@ down exactly the shard the named VM is pinned to -- co-sharded VMs are
 collateral, VMs on other shards are untouched.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -76,8 +77,9 @@ class FaultEvent:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ScheduleError(f"fault time must be >= 0: {self.time}")
+        if not 0 <= self.time < math.inf:
+            raise ScheduleError(
+                f"fault time must be a finite number >= 0: {self.time}")
         if self.fault not in FAULT_KINDS:
             raise ScheduleError(
                 f"unknown fault kind {self.fault!r}; "

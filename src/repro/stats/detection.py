@@ -9,12 +9,15 @@ the test rejects the null at the requested confidence with probability at
 least ``power`` (we use the conventional asymptotic: the test statistic
 under ``q`` is noncentral chi-squared with noncentrality ``n * delta``
 where ``delta = sum_i (q_i - p_i)^2 / p_i``).
+
+Only the two functions that compute a chi-squared statistic import
+scipy, on their first call, so importing :mod:`repro.stats`, which
+every simulated run does, does not load it.
 """
 
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.stats.distributions import Distribution, Empirical
 
@@ -63,6 +66,8 @@ def observations_to_detect(p: np.ndarray, q: np.ndarray, confidence: float,
     """Smallest n such that a chi-squared test of null ``p`` on n draws
     from ``q`` rejects at the given ``confidence`` with prob >= ``power``.
     """
+    from scipy import stats as scipy_stats
+
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0,1), got {confidence}")
     if not 0.0 < power < 1.0:
@@ -134,6 +139,8 @@ def empirical_observations_to_detect(null_dist: Distribution,
     Used to validate the analytic calculator and to process simulator
     traces (Fig. 4(b)).
     """
+    from scipy import stats as scipy_stats
+
     edges = equiprobable_bin_edges(null_dist, bins)
     p = bin_probabilities(null_dist, edges)
     df = bins - 1

@@ -34,6 +34,11 @@ class TestParser:
                                           "ferret,dedup"])
         assert args.kernels == ["ferret", "dedup"]
 
+    def test_chaos_restart_may_share_its_crash_time(self):
+        args = build_parser().parse_args(["chaos", "--crash-at", "0",
+                                          "--restart-at", "0"])
+        assert (args.crash_at, args.restart_at) == (0.0, 0.0)
+
     @pytest.mark.parametrize("argv,option", [
         (["fig5", "--sizes", "abc"], "--sizes"),
         (["scale", "--tenants", "x"], "--tenants"),
@@ -53,6 +58,11 @@ class TestParser:
         (["fig8", "--victim-rate", "0"], "--victim-rate"),
         (["scale", "--rate", "-5"], "--rate"),
         (["covert", "--bits", "0"], "--bits"),
+        (["chaos", "--crash-at", "nan", "--duration", "1"], "--crash-at"),
+        (["chaos", "--crash-at", "-1"], "--crash-at"),
+        (["chaos", "--crash-at", "2.5", "--restart-at", "1"],
+         "--restart-at"),
+        (["chaos", "--replica", "9"], "--replica"),
     ])
     def test_bad_numbers_exit_2_naming_the_option(self, argv, option,
                                                   capsys):

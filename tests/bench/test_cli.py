@@ -214,6 +214,37 @@ class TestBenchRunCommand:
         assert named in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("name, sets", [
+        ("kernel.scale1", ("duration=-1",)),
+        ("chaos.storm", ("duration=1",)),
+    ], ids=["scale-duration", "storm-duration"])
+    def test_bad_value_exits_2_before_any_cell_runs(
+            self, tmp_path, capsys, monkeypatch, name, sets):
+        """A value the runner's own check rejects: one ``error:`` line
+        naming the field, no chaos cell run and nothing appended."""
+        import repro.analysis.chaos as chaos
+        cell = chaos.run_chaos_cell
+        ran = []
+
+        @functools.wraps(cell)              # keeps the real signature
+        def counted(*args, **kwargs):
+            ran.append(kwargs)
+            return cell(*args, **kwargs)
+
+        monkeypatch.setattr(chaos, "run_chaos_cell", counted)
+        path = tmp_path / "b.json"
+        argv = ["bench", "run", "--benchmark", name, "--output", str(path)]
+        for item in sets:
+            argv += ["--set", item]
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: duration must")
+        assert ran == []
+        assert not path.exists()
+
     def test_profile_out_writes_valid_speedscope(self, tmp_path, capsys):
         from repro.prof.export import validate_speedscope_file
         prof = tmp_path / "profile.speedscope.json"

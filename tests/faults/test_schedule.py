@@ -16,8 +16,10 @@ class TestFaultEvent:
             FaultEvent(1.0, "meteor_strike", "echo:2")
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ScheduleError):
-            FaultEvent(-0.1, "crash_replica", "echo:2")
+        """A negative, NaN or infinite time: the error names ``time``."""
+        for time in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ScheduleError, match="time"):
+                FaultEvent(time, "crash_replica", "echo:2")
 
     def test_empty_target_rejected(self):
         with pytest.raises(ScheduleError):

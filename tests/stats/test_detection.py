@@ -1,10 +1,15 @@
 """Tests for the chi-squared detection calculator."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.stats import (
     Exponential,
     MedianOfThree,
@@ -119,3 +124,30 @@ class TestEmpiricalDetection:
             base, victim, 0.9, rng, trials=100)
         assert empirical <= 4 * analytic
         assert analytic <= 4 * empirical
+
+
+def test_scipy_loads_only_when_a_statistic_is_computed():
+    """No simulated run needs scipy: the CLI and everything a benchmark
+    worker imports leave it unloaded, and the first chi-squared call
+    loads it and counts what the same call counts here."""
+    p, q = binned(Exponential(1.0), Exponential(0.5))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import repro.cli, repro.analysis.experiments, repro.analysis.scale\n"
+        "import repro.cloud.scenario, repro.obs.flows\n"
+        "imported = sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy')\n"
+        "from repro.stats import observations_to_detect\n"
+        f"n = observations_to_detect(np.array({p.tolist()!r}),\n"
+        f"                           np.array({q.tolist()!r}), 0.9)\n"
+        "print(json.dumps({'imported': imported, 'n': n,\n"
+        "                  'loaded': 'scipy.stats' in sys.modules}))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    child = json.loads(out)
+    assert child["imported"] == []
+    assert child["loaded"]
+    assert child["n"] == observations_to_detect(p, q, 0.9)
