@@ -25,11 +25,13 @@ outcome on the machine-checked invariants in
 through the campaign executor.
 """
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import (first_divergence, percentile,
                                    replay_verdict, trace_signature)
 from repro.core.config import RESILIENT
+from repro.core.errors import BadOverride
 from repro.faults import FaultInjector, FaultSchedule
 from repro.faults.schedule import FaultEvent
 from repro.sim.kernel import Simulator
@@ -275,11 +277,12 @@ def _cell_once(seed: int, scenario: str, duration: float,
 
 
 def _check_cell_duration(duration: float) -> None:
-    """A cell must outlast its quiet ramp and its drain."""
-    if duration <= CELL_DRAIN + CELL_STORM_START:
-        raise ValueError(
-            f"duration must exceed {CELL_DRAIN + CELL_STORM_START}s "
-            f"(storm ramp + drain), got {duration}")
+    """A cell must outlast its quiet ramp and its drain, and end."""
+    if not CELL_DRAIN + CELL_STORM_START < duration < math.inf:
+        raise BadOverride(
+            f"duration must be finite and exceed "
+            f"{CELL_DRAIN + CELL_STORM_START}s (storm ramp + drain), "
+            f"got {duration}")
 
 
 def run_chaos_cell(seed: int = 7, scenario: str = "single",

@@ -20,7 +20,9 @@ def _fmt(value: Any) -> str:
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     """Render rows as an aligned ASCII table."""
-    cells = [[_fmt(v) for v in row] for row in rows]
+    cells = [
+        [_fmt(v) for v in row]
+        for row in rows]
     widths = [len(h) for h in headers]
     for row in cells:
         for i, cell in enumerate(row):

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import percentile
 from repro.cloud.scenario import ScenarioSpec, TenantSpec
+from repro.core.errors import BadOverride
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
 
@@ -94,7 +95,7 @@ def run_scale_cell(spec: ScenarioSpec, duration: float = 4.0,
 
     if isinstance(duration, bool) or not isinstance(duration, numbers.Real) \
             or not 0 < duration < math.inf:
-        raise ValueError(
+        raise BadOverride(
             f"duration must be a finite number > 0, got {duration!r}")
     cell_started = _time.perf_counter()
     sim = Simulator(seed=seed, profile=profile, trace=Trace(

@@ -25,9 +25,11 @@ StopWatch's mediation for the most disk-interrupt-heavy workload in
 the suite.
 """
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import replay_verdict, trace_signature
+from repro.core.errors import BadOverride
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
@@ -191,11 +193,11 @@ def run_storage_repair_cell(seed: int = 7, duration: float = 6.0,
     identical fault/heal/storage/release signature.
     """
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k} n={n}")
-    if duration <= crash_at + CELL_DRAIN:
-        raise ValueError(
-            f"duration must exceed crash_at + {CELL_DRAIN}s drain, "
-            f"got {duration}")
+        raise BadOverride(f"need 1 <= k <= n, got k={k} n={n}")
+    if not crash_at + CELL_DRAIN < duration < math.inf:
+        raise BadOverride(
+            f"duration must be finite and exceed crash_at + "
+            f"{CELL_DRAIN}s drain, got {duration}")
     result, signature = _cell_once(seed, duration, k, n, object_size,
                                    objects, crash_at, profile=profile)
     replay = (_cell_once(seed, duration, k, n, object_size, objects,

@@ -17,7 +17,10 @@ regression; ``--gate`` additionally fails when there is no comparable
 history at all (a gate that silently checks nothing).  ``run`` also
 exits non-zero when the cell's own gate fails (the entry's ``ok`` is
 false), and exits 2 with one ``error:`` line, appending nothing, on an
-unknown benchmark, a bad ``--set`` key or a value the runner rejects.
+unknown benchmark, a bad ``--set`` key or a value that a runner's
+parameter check rejects before anything is simulated (a
+:class:`~repro.core.errors.BadOverride`); any other error keeps its
+traceback.
 """
 
 import argparse
@@ -118,7 +121,7 @@ def cmd_bench_run(args) -> None:
         kwargs["progress"] = print
     try:
         result = runner(**kwargs)
-    except ValueError as exc:       # a runner's own check on its params
+    except BadOverride as exc:      # a runner's own check on its params
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     entry = cell_entry(args.benchmark, result, config=config,

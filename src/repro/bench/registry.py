@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.bench.schema import make_entry
+from repro.core.errors import BadOverride
 
 #: params that change how a cell is measured, never what it simulates;
 #: they stay out of an entry's config, so the gate compares across them
@@ -33,11 +34,6 @@ _SCALED = re.compile(r"^(.+?)(\d+)$")
 
 class UnknownBenchmark(KeyError):
     """No cell (or no benchmark cell) matches the requested name."""
-
-
-class BadOverride(ValueError):
-    """A benchmark override the cell cannot take: a key that is neither
-    a cell param nor a runner parameter, or a non-integer seed count."""
 
 
 @dataclass(frozen=True)

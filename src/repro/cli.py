@@ -44,7 +44,7 @@ of them.
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List
 
 
 def _ints(text: str) -> List[int]:
@@ -90,20 +90,6 @@ def _non_negative_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite number >= 0, got {text}")
     return value
-
-
-class _Parser(argparse.ArgumentParser):
-    """Also runs the command's ``check(args)``, for flag combinations no
-    single flag's type can reject: the message it returns exits 2, as
-    a bad flag value does."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        check = getattr(namespace, "check", None)
-        problem = check(namespace) if check else None
-        if problem:
-            self.error(problem)
-        return namespace, extras
 
 
 def cmd_fig1(args) -> None:
@@ -296,9 +282,14 @@ def cmd_chaos(args) -> None:
     from repro.analysis.chaos import (chaos_signature, chaos_timeline_rows,
                                       default_schedule, determinism_check,
                                       run_chaos_experiment, service_summary)
-    schedule = default_schedule(crash_at=args.crash_at,
-                                restart_at=args.restart_at,
-                                replica=args.replica)
+    from repro.faults import ScheduleError
+    try:
+        schedule = default_schedule(crash_at=args.crash_at,
+                                    restart_at=args.restart_at,
+                                    replica=args.replica)
+    except ScheduleError as exc:    # a restart before the crash
+        print(f"error: argument --restart-at: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     if args.check_determinism:
         check = determinism_check(seed=args.seed, duration=args.duration,
                                   schedule=schedule)
@@ -334,14 +325,6 @@ def cmd_chaos(args) -> None:
             print(f"  run 1: {a}")
             print(f"  run 2: {b}")
             raise SystemExit(1)
-
-
-def _chaos_check(args) -> Optional[str]:
-    """A replica can only be restarted once it has crashed."""
-    if args.restart_at < args.crash_at:
-        return (f"argument --restart-at: must not precede --crash-at "
-                f"({args.crash_at:g}), got {args.restart_at:g}")
-    return None
 
 
 def cmd_scale(args) -> None:
@@ -460,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Regenerate figures from the StopWatch paper "
                     "(Li/Gao/Reiter, DSN 2013) on the simulator.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig1", help="analytic median justification")
     p.add_argument("--victim-rate", type=_positive_float, default=0.5)
@@ -537,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-determinism", action="store_true",
                    help="run twice with the same seed and compare "
                         "fault/recovery/heal/release signatures")
-    p.set_defaults(fn=cmd_chaos, check=_chaos_check)
+    p.set_defaults(fn=cmd_chaos)
 
     p = sub.add_parser("scale", help="multi-tenant fleet scaling: "
                                      "throughput and mediation delay vs "

@@ -34,8 +34,9 @@ class IdempotentCommutativeQuasigroup:
 
     def table(self) -> List[List[int]]:
         """The full multiplication table (order x order)."""
-        return [[self.op(i, j) for j in range(self.order)]
-                for i in range(self.order)]
+        return [
+            [self.op(i, j) for j in range(self.order)]
+            for i in range(self.order)]
 
     # -- property checks (used by tests and by validation at build time) --
     def is_idempotent(self) -> bool:

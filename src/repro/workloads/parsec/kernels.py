@@ -77,10 +77,12 @@ class Ferret(ParsecWorkload):
 
     def prepare(self) -> None:
         rng = self.rng
-        self.database = [[rng.gauss(0.0, 1.0) for _ in range(self.DIMS)]
-                         for _ in range(self.DATABASE)]
-        self.queries = [[rng.gauss(0.0, 1.0) for _ in range(self.DIMS)]
-                        for _ in range(self.QUERIES)]
+        self.database = [
+            [rng.gauss(0.0, 1.0) for _ in range(self.DIMS)]
+            for _ in range(self.DATABASE)]
+        self.queries = [
+            [rng.gauss(0.0, 1.0) for _ in range(self.DIMS)]
+            for _ in range(self.QUERIES)]
         self.matches = []
 
     @staticmethod
@@ -231,9 +233,10 @@ class StreamCluster(ParsecWorkload):
 
     def prepare(self) -> None:
         rng = self.rng
-        self.points = [[rng.gauss(rng.choice((-3.0, 0.0, 3.0)), 1.0)
-                        for _ in range(self.DIMS)]
-                       for _ in range(self.POINTS)]
+        self.points = [
+            [rng.gauss(rng.choice((-3.0, 0.0, 3.0)), 1.0)
+             for _ in range(self.DIMS)]
+            for _ in range(self.POINTS)]
         self.centers = []
         self.assign_cost = 0.0
 

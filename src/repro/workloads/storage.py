@@ -117,8 +117,9 @@ def _gf_matmul_row(row: Sequence[int], columns: Sequence[bytes],
 def _gf_invert(matrix: List[List[int]]) -> List[List[int]]:
     """Gauss-Jordan inverse of a k x k matrix over GF(256)."""
     size = len(matrix)
-    work = [list(row) + [1 if i == j else 0 for j in range(size)]
-            for i, row in enumerate(matrix)]
+    work = [
+        list(row) + [1 if i == j else 0 for j in range(size)]
+        for i, row in enumerate(matrix)]
     for col in range(size):
         pivot = next((r for r in range(col, size) if work[r][col]), None)
         if pivot is None:

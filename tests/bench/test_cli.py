@@ -217,11 +217,15 @@ class TestBenchRunCommand:
     @pytest.mark.parametrize("name, sets", [
         ("kernel.scale1", ("duration=-1",)),
         ("chaos.storm", ("duration=1",)),
-    ], ids=["scale-duration", "storm-duration"])
+        ("chaos.storm", ("duration=NaN",)),
+        ("storage.repair", ("duration=NaN",)),
+    ], ids=["scale-duration", "storm-duration", "storm-duration-nan",
+            "repair-duration-nan"])
     def test_bad_value_exits_2_before_any_cell_runs(
             self, tmp_path, capsys, monkeypatch, name, sets):
         """A value the runner's own check rejects: one ``error:`` line
-        naming the field, no chaos cell run and nothing appended."""
+        naming the field, no chaos or storage cell run and nothing
+        appended."""
         import repro.analysis.chaos as chaos
         cell = chaos.run_chaos_cell
         ran = []
@@ -231,7 +235,12 @@ class TestBenchRunCommand:
             ran.append(kwargs)
             return cell(*args, **kwargs)
 
+        def storage_cell(*args, **kwargs):  # a NaN-long cell never ends
+            raise AssertionError("a storage cell ran")
+
         monkeypatch.setattr(chaos, "run_chaos_cell", counted)
+        monkeypatch.setattr("repro.analysis.storage._cell_once",
+                            storage_cell)
         path = tmp_path / "b.json"
         argv = ["bench", "run", "--benchmark", name, "--output", str(path)]
         for item in sets:
@@ -243,6 +252,20 @@ class TestBenchRunCommand:
         assert len(lines) == 1
         assert lines[0].startswith("error: duration must")
         assert ran == []
+        assert not path.exists()
+
+    def test_an_error_inside_the_run_keeps_its_traceback(
+            self, tmp_path, monkeypatch):
+        """Only a parameter check exits 2: a ``ValueError`` raised once
+        the run has started propagates, and nothing is appended."""
+        def fails(*args, **kwargs):
+            raise ValueError("raised mid-run")
+
+        monkeypatch.setattr("repro.analysis.storage._cell_once", fails)
+        path = tmp_path / "b.json"
+        with pytest.raises(ValueError, match="mid-run"):
+            run_cli("bench", "run", "--benchmark", "storage.repair",
+                    "--output", str(path))
         assert not path.exists()
 
     def test_profile_out_writes_valid_speedscope(self, tmp_path, capsys):
