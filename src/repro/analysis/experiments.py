@@ -6,6 +6,10 @@ targets under ``benchmarks/`` call these with reduced durations; the
 examples call them with fuller settings.  ``repro.campaign`` dispatches
 them by name through :mod:`repro.bench.registry`, so each is a
 module-level function whose kwargs are picklable plain data.
+
+Only the runners that compute a statistic import :mod:`repro.stats`
+(and with it numpy), inside their bodies: the simulator runs on the
+standard library alone.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -14,17 +18,6 @@ from repro.cloud.fabric import Cloud
 from repro.core.config import StopWatchConfig, DEFAULT, PASSTHROUGH
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
-from repro.stats.detection import (
-    CONFIDENCES,
-    bin_probabilities,
-    equiprobable_bin_edges,
-    observations_to_detect,
-)
-from repro.stats.distributions import Exponential, MedianOfThree
-from repro.stats.noise import (
-    noise_comparison_table,
-    protection_cost_curve,
-)
 from repro.placement.scheduler import utilization_report
 from repro.workloads.fileserver import (
     FileServer,
@@ -64,6 +57,8 @@ TRACE_CAP = 65_536
 def fig1_median_cdfs(victim_rate: float = 0.5, baseline_rate: float = 1.0,
                      xs: Optional[Sequence[float]] = None) -> List[tuple]:
     """Fig. 1(a): CDF rows (x, baseline, victim, median3, median2+victim)."""
+    from repro.stats.distributions import Exponential, MedianOfThree
+
     if xs is None:
         xs = [i * 0.25 for i in range(25)]
     base = Exponential(baseline_rate)
@@ -76,9 +71,17 @@ def fig1_median_cdfs(victim_rate: float = 0.5, baseline_rate: float = 1.0,
 
 def fig1_observation_curves(victim_rate: float = 0.5,
                             baseline_rate: float = 1.0,
-                            confidences: Sequence[float] = CONFIDENCES,
+                            confidences: Optional[Sequence[float]] = None,
                             bins: int = 10) -> List[tuple]:
-    """Fig. 1(b)/(c): (confidence, obs w/o StopWatch, obs w/ StopWatch)."""
+    """Fig. 1(b)/(c): (confidence, obs w/o StopWatch, obs w/ StopWatch);
+    ``confidences`` defaults to the paper's ``detection.CONFIDENCES``."""
+    from repro.stats.detection import (CONFIDENCES, bin_probabilities,
+                                       equiprobable_bin_edges,
+                                       observations_to_detect)
+    from repro.stats.distributions import Exponential, MedianOfThree
+
+    if confidences is None:
+        confidences = CONFIDENCES
     base = Exponential(baseline_rate)
     victim = Exponential(victim_rate)
     direct_edges = equiprobable_bin_edges(base, bins)
@@ -103,12 +106,17 @@ def fig1_observation_curves(victim_rate: float = 0.5,
 # Fig. 4 -- empirical detection on the simulator
 # ---------------------------------------------------------------------------
 def fig4_empirical_detection(duration: float = 30.0, seed: int = 7,
-                             confidences: Sequence[float] = CONFIDENCES,
+                             confidences: Optional[Sequence[float]] = None,
                              ) -> dict:
     """Fig. 4: empirical inter-packet samples and detection curves for
     both the StopWatch and unmodified-Xen conditions -- the IO-clock
-    probe under the ``stopwatch`` and ``none`` policies."""
+    probe under the ``stopwatch`` and ``none`` policies.
+    ``confidences`` defaults to the paper's ``detection.CONFIDENCES``."""
     from repro.attacks.probes import run_clock_probe
+    from repro.stats.detection import CONFIDENCES
+
+    if confidences is None:
+        confidences = CONFIDENCES
 
     with_sw = run_clock_probe("stopwatch", duration=duration, seed=seed)
     without_sw = run_clock_probe("none", duration=duration, seed=seed)
@@ -259,6 +267,9 @@ def fig8_noise_comparison(victim_rate: float = 0.5,
                                                           0.99),
                           attacker: str = "kl") -> dict:
     """Fig. 8: the comparison table plus the scaling curve."""
+    from repro.stats.noise import (noise_comparison_table,
+                                   protection_cost_curve)
+
     table = noise_comparison_table(1.0, victim_rate, confidences,
                                    attacker=attacker)
     curve = protection_cost_curve(1.0, victim_rate,

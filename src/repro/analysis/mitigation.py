@@ -20,6 +20,7 @@ import hashlib
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table, percentile
+from repro.core.errors import check_duration
 
 #: the shipped policy family, cheapest protection first
 POLICY_NAMES = ("none", "uniform-noise", "deterland", "stopwatch")
@@ -89,6 +90,7 @@ def mitigation_frontier(policies: Sequence[str] = POLICY_NAMES,
     from repro.campaign.executor import CampaignExecutor
     from repro.campaign.spec import CampaignSpec, SweepSpec
 
+    check_duration(duration)
     if seeds is None:
         seeds = [7]
     spec = CampaignSpec(

@@ -21,13 +21,11 @@ rows are plain data, so campaign workers can cache them.
 
 import hashlib
 import json
-import math
-import numbers
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import percentile
 from repro.cloud.scenario import ScenarioSpec, TenantSpec
-from repro.core.errors import BadOverride
+from repro.core.errors import check_duration
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
 
@@ -93,10 +91,7 @@ def run_scale_cell(spec: ScenarioSpec, duration: float = 4.0,
     """
     import time as _time
 
-    if isinstance(duration, bool) or not isinstance(duration, numbers.Real) \
-            or not 0 < duration < math.inf:
-        raise BadOverride(
-            f"duration must be a finite number > 0, got {duration!r}")
+    check_duration(duration)
     cell_started = _time.perf_counter()
     sim = Simulator(seed=seed, profile=profile, trace=Trace(
         categories=SCALE_TRACE_CATEGORIES, max_per_category=TRACE_CAP))

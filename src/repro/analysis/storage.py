@@ -25,11 +25,10 @@ StopWatch's mediation for the most disk-interrupt-heavy workload in
 the suite.
 """
 
-import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import replay_verdict, trace_signature
-from repro.core.errors import BadOverride
+from repro.core.errors import BadOverride, check_duration
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
@@ -194,10 +193,8 @@ def run_storage_repair_cell(seed: int = 7, duration: float = 6.0,
     """
     if not 1 <= k <= n:
         raise BadOverride(f"need 1 <= k <= n, got k={k} n={n}")
-    if not crash_at + CELL_DRAIN < duration < math.inf:
-        raise BadOverride(
-            f"duration must be finite and exceed crash_at + "
-            f"{CELL_DRAIN}s drain, got {duration}")
+    check_duration(duration, crash_at + CELL_DRAIN,
+                   f" s (crash_at + {CELL_DRAIN} s drain)")
     result, signature = _cell_once(seed, duration, k, n, object_size,
                                    objects, crash_at, profile=profile)
     replay = (_cell_once(seed, duration, k, n, object_size, objects,

@@ -107,6 +107,9 @@ class ReplicaCoordination:
 
         # failure detection state
         self.live: Dict[int, bool] = {rid: True for rid in sibling_addresses}
+        #: replicas currently believed alive, including this one: a count
+        #: kept in step with ``live`` wherever an entry flips
+        self.live_expected = 1 + len(self.live)
         self.last_heard: Dict[int, float] = {
             rid: sim.now for rid in sibling_addresses
         }
@@ -124,11 +127,6 @@ class ReplicaCoordination:
     # ------------------------------------------------------------------
     # group membership
     # ------------------------------------------------------------------
-    @property
-    def live_expected(self) -> int:
-        """Replicas currently believed alive, including this one."""
-        return 1 + sum(1 for ok in self.live.values() if ok)
-
     def rewire_sibling(self, replica_id: int, new_address: str) -> None:
         """An evacuation moved ``replica_id`` to ``new_address``: swap the
         multicast membership and start a fresh receive stream (the new
@@ -193,10 +191,11 @@ class ReplicaCoordination:
                                   seq=seq,
                                   proposals=len(agreement.proposals))
             self.sim.metrics.incr("fault.degraded_agreements")
-        self.sim.flows.flow_annotate(self.vm_name, seq,
-                                     proposals=len(agreement.proposals),
-                                     spread=agreement.spread(),
-                                     degraded=degraded)
+        flows = self.sim.flows
+        if flows.enabled:
+            flows.flow_annotate(self.vm_name, seq,
+                                proposals=len(agreement.proposals),
+                                spread=agreement.spread(), degraded=degraded)
         self.vmm.commit_network_delivery(seq, decision, packet)
 
     def _remember_decision(self, seq: int, decision: float) -> None:
@@ -362,6 +361,7 @@ class ReplicaCoordination:
         if not self.live.get(replica_id, False):
             return
         self.live[replica_id] = False
+        self.live_expected -= 1
         self.sim.metrics.incr("fault.suspicions")
         self.sim.trace.record(self.sim.now, "fault.suspect",
                               vm=self.vm_name, observer=self.replica_id,
@@ -375,6 +375,7 @@ class ReplicaCoordination:
         if self.live.get(replica_id, True):
             return
         self.live[replica_id] = True
+        self.live_expected += 1
         self.last_heard[replica_id] = self.sim.now
         self.sim.metrics.incr("recovery.rejoins_seen")
         self.sim.trace.record(self.sim.now, "recovery.rejoin",
@@ -426,6 +427,7 @@ class ReplicaCoordination:
         for rid in self.live:
             self.live[rid] = True
             self.last_heard[rid] = self.sim.now
+        self.live_expected = 1 + len(self.live)
         if floor is None:
             self.sender.multicast(("rejoin", self.replica_id))
         else:

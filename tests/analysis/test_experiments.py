@@ -79,6 +79,27 @@ class TestFig1:
         assert near[0][1] > 10 * far[0][1]
         assert near[0][2] > 10 * far[0][2]
 
+    def test_confidences_default_to_the_papers(self):
+        from repro.stats.detection import CONFIDENCES
+        rows = fig1_observation_curves()
+        assert tuple(row[0] for row in rows) == CONFIDENCES
+        assert rows == fig1_observation_curves(confidences=CONFIDENCES)
+
+
+class TestFig4:
+    def test_confidences_default_to_the_papers(self, monkeypatch):
+        from repro.stats.detection import CONFIDENCES
+
+        class Probe:
+            def detection_curve(self, confidences):
+                return confidences
+
+        monkeypatch.setattr("repro.attacks.probes.run_clock_probe",
+                            lambda policy, **kwargs: Probe())
+        result = fig4_empirical_detection()
+        assert result["curve_stopwatch"] is CONFIDENCES
+        assert result["curve_baseline"] is CONFIDENCES
+
 
 class TestFig8:
     def test_table_and_curve_shapes(self):

@@ -219,26 +219,38 @@ class TestBenchRunCommand:
         ("chaos.storm", ("duration=1",)),
         ("chaos.storm", ("duration=NaN",)),
         ("storage.repair", ("duration=NaN",)),
+        ("mitigation.frontier", ("duration=-1",)),
+        ("chaos.storm", ("duration=abc",)),
+        ("mitigation.frontier", ("duration=true",)),
+        ("storage.repair", ("duration=abc",)),
     ], ids=["scale-duration", "storm-duration", "storm-duration-nan",
-            "repair-duration-nan"])
+            "repair-duration-nan", "frontier-duration",
+            "storm-duration-str", "frontier-duration-bool",
+            "repair-duration-str"])
     def test_bad_value_exits_2_before_any_cell_runs(
             self, tmp_path, capsys, monkeypatch, name, sets):
-        """A value the runner's own check rejects: one ``error:`` line
-        naming the field, no chaos or storage cell run and nothing
+        """A value the runner's own check rejects (out of range, NaN, a
+        bool or a string that is not JSON): one ``error:`` line naming
+        the field, no chaos, frontier or storage cell run and nothing
         appended."""
         import repro.analysis.chaos as chaos
-        cell = chaos.run_chaos_cell
+        import repro.analysis.mitigation as mitigation
         ran = []
 
-        @functools.wraps(cell)              # keeps the real signature
-        def counted(*args, **kwargs):
-            ran.append(kwargs)
-            return cell(*args, **kwargs)
+        def counting(cell):
+            @functools.wraps(cell)          # keeps the real signature
+            def counted(*args, **kwargs):
+                ran.append(kwargs)
+                return cell(*args, **kwargs)
+            return counted
 
         def storage_cell(*args, **kwargs):  # a NaN-long cell never ends
             raise AssertionError("a storage cell ran")
 
-        monkeypatch.setattr(chaos, "run_chaos_cell", counted)
+        monkeypatch.setattr(chaos, "run_chaos_cell",
+                            counting(chaos.run_chaos_cell))
+        monkeypatch.setattr(mitigation, "run_mitigation_cell",
+                            counting(mitigation.run_mitigation_cell))
         monkeypatch.setattr("repro.analysis.storage._cell_once",
                             storage_cell)
         path = tmp_path / "b.json"

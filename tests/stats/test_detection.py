@@ -151,3 +151,31 @@ def test_scipy_loads_only_when_a_statistic_is_computed():
     assert child["imported"] == []
     assert child["loaded"]
     assert child["n"] == observations_to_detect(p, q, 0.9)
+
+
+def test_numpy_loads_only_when_a_statistic_is_computed():
+    """The simulator runs on the standard library alone: the CLI,
+    everything a benchmark worker imports and ``repro observe`` leave
+    numpy and scipy unloaded, and the first Fig. 1 statistic loads
+    numpy and returns the rows it returns here."""
+    from repro.analysis.experiments import fig1_observation_curves
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import json, sys\n"
+        "import repro.cli, repro.analysis.experiments, repro.analysis.scale\n"
+        "import repro.cloud.scenario, repro.obs.flows\n"
+        "import repro.analysis.observe\n"
+        "imported = sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "rows = repro.analysis.experiments.fig1_observation_curves()\n"
+        "print(json.dumps({'imported': imported, 'rows': rows,\n"
+        "                  'loaded': 'numpy' in sys.modules}))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    child = json.loads(out)
+    assert child["imported"] == []
+    assert child["loaded"]
+    assert [tuple(row) for row in child["rows"]] == \
+        fig1_observation_curves()

@@ -125,3 +125,25 @@ class TestRejoinView:
             assert survivor.coordination.live[2] is True
         rejoins = list(sim.trace.iter_records("recovery.rejoin"))
         assert {r.payload["observer"] for r in rejoins} == {0, 1}
+
+    def test_live_count_follows_every_view_change(self):
+        """``live_expected`` is kept as a count: through a suspicion and
+        a rejoin it always equals this replica plus its live siblings."""
+        sim, cloud, vm, udp, replies = echo_cloud(RESILIENT)
+        views = []
+
+        def snapshot():
+            views.append([(c.live_expected, 1 + sum(c.live.values()))
+                          for c in (vmm.coordination for vmm in vm.vmms)])
+
+        def resurrect():
+            cloud.hosts[2].restore()
+            vm.vmms[2].failed = False
+            vm.vmms[2].coordination.announce_rejoin()
+
+        sim.call_after(0.3, cloud.hosts[2].fail)
+        sim.call_after(0.7, snapshot)
+        sim.call_after(0.8, resurrect)
+        sim.call_after(1.1, snapshot)
+        cloud.run(until=1.2)
+        assert views == [[(2, 2), (2, 2), (3, 3)], [(3, 3)] * 3]
