@@ -35,6 +35,8 @@ records; :mod:`repro.bench.registry` does the rest.
 import time
 from typing import Dict, List
 
+from repro.core.errors import BadOverride
+
 #: the result keys that become trajectory-entry metrics
 _METRIC_KEYS = ("sim_seconds_per_cpu_second", "events_per_cpu_second",
                 "events_per_second", "events_fired", "cpu_seconds",
@@ -63,7 +65,7 @@ def run_kernel_bench(tenants: int = 32,
     from repro.analysis.scale import build_scale_spec, run_scale_cell
 
     if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+        raise BadOverride(f"repeats must be >= 1, got {repeats}")
     runs: List[Dict[str, object]] = []
     for _ in range(repeats):
         spec = build_scale_spec(tenants, request_rate=request_rate)

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import (first_divergence, percentile,
                                    replay_verdict, trace_signature)
 from repro.core.config import RESILIENT
-from repro.core.errors import check_duration
+from repro.core.errors import check_number
 from repro.faults import FaultInjector, FaultSchedule
 from repro.faults.schedule import FaultEvent
 from repro.sim.kernel import Simulator
@@ -275,10 +275,12 @@ def _cell_once(seed: int, scenario: str, duration: float,
     return result, chaos_signature(trace)
 
 
-def _check_cell_duration(duration: float) -> None:
-    """A cell must outlast its quiet ramp and its drain, and end."""
-    check_duration(duration, CELL_DRAIN + CELL_STORM_START,
-                   " s (storm ramp + drain)")
+def _check_cell(duration: float, rate: float) -> None:
+    """A cell must outlast its quiet ramp and its drain, and end; its
+    clients must send."""
+    check_number("duration", duration, CELL_DRAIN + CELL_STORM_START,
+                 " s (storm ramp + drain)")
+    check_number("rate", rate)
 
 
 def run_chaos_cell(seed: int = 7, scenario: str = "single",
@@ -299,7 +301,7 @@ def run_chaos_cell(seed: int = 7, scenario: str = "single",
     profiler-neutrality check -- a profiled run and its unprofiled
     replay must produce identical fault/heal/release records.
     """
-    _check_cell_duration(duration)
+    _check_cell(duration, rate)
     result, signature = _cell_once(seed, scenario, duration, rate,
                                    profile=profile)
     replay = (_cell_once(seed, scenario, duration, rate)[1]
@@ -330,7 +332,7 @@ def run_chaos_campaign(seeds: Optional[Sequence[int]] = None,
     from repro.campaign.spec import CampaignSpec, SweepSpec
     from repro.sim.rng import derive_root_seed
 
-    _check_cell_duration(duration)
+    _check_cell(duration, rate)
     if seeds is None:
         seeds = [derive_root_seed(101, i) for i in range(7)]
     params = {"duration": duration, "rate": rate,

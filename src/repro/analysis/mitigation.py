@@ -20,7 +20,7 @@ import hashlib
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table, percentile
-from repro.core.errors import check_duration
+from repro.core.errors import BadOverride, check_number
 
 #: the shipped policy family, cheapest protection first
 POLICY_NAMES = ("none", "uniform-noise", "deterland", "stopwatch")
@@ -90,7 +90,15 @@ def mitigation_frontier(policies: Sequence[str] = POLICY_NAMES,
     from repro.campaign.executor import CampaignExecutor
     from repro.campaign.spec import CampaignSpec, SweepSpec
 
-    check_duration(duration)
+    check_number("duration", duration)
+    if bins < 2:
+        raise BadOverride(f"bins must be >= 2, got {bins!r}")
+    for name, chosen, known in (("policies", policies, POLICY_NAMES),
+                                ("attacks", attacks, ATTACK_NAMES)):
+        unknown = [item for item in chosen if item not in known]
+        if unknown:
+            raise BadOverride(f"{name} must be drawn from {known}, got "
+                              f"{unknown}")
     if seeds is None:
         seeds = [7]
     spec = CampaignSpec(

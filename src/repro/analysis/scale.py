@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import percentile
 from repro.cloud.scenario import ScenarioSpec, TenantSpec
-from repro.core.errors import check_duration
+from repro.core.errors import check_number
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
 
@@ -91,7 +91,7 @@ def run_scale_cell(spec: ScenarioSpec, duration: float = 4.0,
     """
     import time as _time
 
-    check_duration(duration)
+    check_number("duration", duration)
     cell_started = _time.perf_counter()
     sim = Simulator(seed=seed, profile=profile, trace=Trace(
         categories=SCALE_TRACE_CATEGORIES, max_per_category=TRACE_CAP))

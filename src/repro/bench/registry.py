@@ -18,6 +18,8 @@ names the cell.  An id ending in ``<N>`` is parameterised:
 
 import importlib
 import inspect
+import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -148,10 +150,24 @@ def runner_accepts(fn: Callable, name: str) -> bool:
     return name in signature.parameters
 
 
-def _integer(key: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadOverride(f"{key} must be an integer, got {value!r}")
-    return value
+def _check_type(key: str, default: Any, value: Any) -> None:
+    """Refuse an override that does not fit the type of the cell
+    default it replaces: an int default takes only an integer, a float
+    default only a finite real number (neither a bool), and a tuple
+    default a list or a comma-separated string."""
+    if isinstance(default, bool):
+        return
+    if isinstance(default, int):
+        kind, fits = "an integer", isinstance(value, int)
+    elif isinstance(default, float):
+        kind, fits = "a finite number", (isinstance(value, numbers.Real)
+                                         and math.isfinite(value))
+    elif isinstance(default, tuple):
+        kind, fits = "a list", isinstance(value, (list, str))
+    else:
+        return
+    if isinstance(value, bool) or not fits:
+        raise BadOverride(f"{key} must be {kind}, got {value!r}")
 
 
 def bench_plan(benchmark: str,
@@ -161,7 +177,8 @@ def bench_plan(benchmark: str,
 
     Overrides replace defaults; a comma-separated string replaces a
     tuple default.  An override must name a cell param or a runner
-    parameter.  The config is every resolved param except
+    parameter, and fit the type of the default it replaces (see
+    :func:`_check_type`).  The config is every resolved param except
     :data:`MEASUREMENT_KEYS`, taken before ``seed_base`` expands into
     the ``seeds`` list.
     """
@@ -176,6 +193,7 @@ def bench_plan(benchmark: str,
     for key, value in (overrides or {}).items():
         if key not in params and not runner_accepts(cell.resolve(), key):
             raise BadOverride(f"{benchmark!r} takes no parameter {key!r}")
+        _check_type(key, params.get(key), value)
         if isinstance(params.get(key), tuple) and isinstance(value, str):
             value = tuple(part for part in value.split(",") if part)
         params[key] = value
@@ -186,9 +204,9 @@ def bench_plan(benchmark: str,
     if "seed_base" in params:
         from repro.sim.rng import derive_root_seed
 
-        base = _integer("seed_base", params.pop("seed_base"))
+        base = params.pop("seed_base")
         params["seeds"] = [derive_root_seed(base, i) for i in
-                           range(_integer("seeds", params["seeds"]))]
+                           range(params["seeds"])]
     return cell, params, config
 
 

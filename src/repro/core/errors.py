@@ -1,6 +1,6 @@
 """Errors raised by the StopWatch core layer, and :class:`BadOverride`,
 which every experiment runner raises for a parameter it refuses (through
-:func:`check_duration` for a run's length)."""
+:func:`check_number` for a real-valued one such as a run's length)."""
 
 import math
 import numbers
@@ -8,18 +8,21 @@ import numbers
 
 class BadOverride(ValueError):
     """A run parameter refused before anything is simulated: a
-    ``repro bench run --set`` key no runner takes, a non-integer seed
-    count, or a value outside a runner's range."""
+    ``repro bench run --set`` key no runner takes, a value of the wrong
+    type, or a value outside a runner's range."""
 
 
-def check_duration(duration, floor: float = 0.0, why: str = "") -> None:
-    """Raise :class:`BadOverride` naming ``duration`` unless it is a real
-    number (not a bool) with ``floor < duration < inf``; ``why`` says
-    where the floor comes from."""
-    if isinstance(duration, bool) or not isinstance(duration, numbers.Real) \
-            or not floor < duration < math.inf:
-        raise BadOverride(f"duration must be a finite number > {floor:g}"
-                          f"{why}, got {duration!r}")
+def check_number(name: str, value, floor: float = 0.0, why: str = "",
+                 closed: bool = False) -> None:
+    """Raise :class:`BadOverride` naming ``name`` unless ``value`` is a
+    real number (not a bool) with ``floor < value < inf`` (``floor <=
+    value`` when ``closed``); ``why`` says where the floor comes from."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not value < math.inf \
+            or not (value >= floor if closed else value > floor):
+        raise BadOverride(f"{name} must be a finite number "
+                          f"{'>=' if closed else '>'} {floor:g}{why}, "
+                          f"got {value!r}")
 
 
 class ConfigError(ValueError):

@@ -19,7 +19,7 @@ stacks from :mod:`repro.net` run unmodified inside guests.
 """
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.machine.devices.clocks import GuestClockPanel
 
@@ -34,12 +34,10 @@ class GuestTimer:
     ordering.
     """
 
-    __slots__ = ("instr", "seq", "fn", "args", "cancelled", "flow")
+    __slots__ = ("fn", "args", "cancelled", "flow")
 
-    def __init__(self, instr: int, seq: int, fn: Callable, args: tuple,
+    def __init__(self, fn: Callable, args: tuple,
                  flow: Optional[int] = None):
-        self.instr = instr
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -50,9 +48,6 @@ class GuestTimer:
         self.fn = None
         self.args = ()
 
-    def __lt__(self, other: "GuestTimer") -> bool:
-        return (self.instr, self.seq) < (other.instr, other.seq)
-
 
 class GuestOS:
     """The guest-visible operating environment."""
@@ -61,7 +56,9 @@ class GuestOS:
         self.vmm = vmm
         self.address = vmm.vm_address
         self.rng = workload_rng
-        self._events: List[GuestTimer] = []
+        # a heap of (instr, seq, timer): seq is unique, so the tuples
+        # order in C by (instr, seq) and never compare two timers
+        self._events: List[Tuple[int, int, GuestTimer]] = []
         self._seq = 0
         self._protocols: Dict[str, Callable] = {}
         self._tick_handlers: List[Callable] = []
@@ -111,10 +108,9 @@ class GuestOS:
 
     def schedule_at_instr(self, instr: int, fn: Callable,
                           *args) -> GuestTimer:
-        timer = GuestTimer(instr, self._seq, fn, args,
-                           flow=self._current_flow)
+        timer = GuestTimer(fn, args, flow=self._current_flow)
+        heapq.heappush(self._events, (instr, self._seq, timer))
         self._seq += 1
-        heapq.heappush(self._events, timer)
         self.vmm.notify_guest_event()
         return timer
 
@@ -145,19 +141,19 @@ class GuestOS:
     # ------------------------------------------------------------------
     def next_event_instr(self) -> Optional[int]:
         """Instruction count of the earliest pending guest event."""
-        while self._events and self._events[0].cancelled:
+        while self._events and self._events[0][2].cancelled:
             heapq.heappop(self._events)
-        return self._events[0].instr if self._events else None
+        return self._events[0][0] if self._events else None
 
     def run_due_events(self, instr: int) -> None:
         """Execute every pending event with ``event.instr <= instr``,
         each under the flow context it was scheduled in."""
         while self._events:
-            head = self._events[0]
+            head_instr, _, head = self._events[0]
             if head.cancelled:
                 heapq.heappop(self._events)
                 continue
-            if head.instr > instr:
+            if head_instr > instr:
                 break
             heapq.heappop(self._events)
             fn, args = head.fn, head.args

@@ -11,8 +11,12 @@ for file download.
 The model here: a sender multicasts ODATA datagrams with per-sender
 sequence numbers (one unicast copy per group member).  A receiver seeing
 a gap schedules a NAK after ``nak_delay``; the sender answers with RDATA
-from its retransmit buffer.  Repair continues until the gap closes or
+from its retransmit window.  Repair continues until the gap closes or
 ``max_naks`` is exhausted (the datagram is then reported lost).
+
+The window keeps, for each of the sender's last ``retain`` seqs, only
+what RDATA carries: the ``data`` object and its ``data_len``.  It holds
+no datagram, so an ODATA datagram is freed once every member has it.
 
 A :class:`PgmReceiver` handles one multicast *group* on one host and can
 subscribe to several senders in that group (each sender is an
@@ -20,9 +24,13 @@ independent, in-order stream) -- this is how a replica VMM listens to
 both of its siblings on the coordination group.
 """
 
+from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.net.packet import Packet, PgmDatagram
+
+#: the window's ``data`` for a seq evicted by ``drop_next(purge=True)``
+_PURGED = object()
 
 
 class PgmSender:
@@ -37,7 +45,10 @@ class PgmSender:
         self.members = list(members)
         self.retain = retain
         self._next_seq = 0
-        self._buffer: Dict[int, PgmDatagram] = {}
+        # the retransmit window: the data and data_len of the last
+        # ``retain`` seqs, oldest first, so it ends at ``_next_seq - 1``
+        self._window_data = deque(maxlen=retain)
+        self._window_len = deque(maxlen=retain)
         self.odata_sent = 0
         self.rdata_sent = 0
         self._drop_budget = 0
@@ -59,7 +70,7 @@ class PgmSender:
         The stream identity is the *sender*, so sequence numbers keep
         counting; the new member is expected to join at an agreed
         ``start_seq`` (see :meth:`PgmReceiver.subscribe`) and NAK-repair
-        anything earlier that it still needs from the retain buffer.
+        anything earlier that it still needs from the retransmit window.
         """
         if old_addr not in self.members:
             raise ValueError(f"{old_addr!r} is not a member of "
@@ -73,9 +84,9 @@ class PgmSender:
     def drop_next(self, count: int, purge: bool = False) -> None:
         """Fault hook: swallow the ODATA of the next ``count`` multicasts.
 
-        Without ``purge`` the datagrams stay in the retransmit buffer, so
+        Without ``purge`` the datagrams stay in the retransmit window, so
         receivers recover them via NAK repair (added latency only).  With
-        ``purge`` they are also evicted from the buffer: repair fails,
+        ``purge`` they are also evicted from the window: repair fails,
         the receivers' ``max_naks`` budget runs out, and their
         ``on_loss`` callbacks fire -- a permanent coordination loss.
         """
@@ -89,24 +100,20 @@ class PgmSender:
         seq = self._next_seq
         self._next_seq += 1
         host = self.host
-        datagram = PgmDatagram(group=self.group, sender=host.address,
-                               kind="odata", seq=seq, data=data,
-                               data_len=data_len)
-        buffer = self._buffer
-        buffer[seq] = datagram
-        if len(buffer) > self.retain:
-            # seqs are inserted in increasing order and evicted from the
-            # front, so the first key is always the minimum
-            del buffer[next(iter(buffer))]
-        if self._drop_budget > 0:
+        dropped = self._drop_budget > 0
+        self._window_data.append(
+            _PURGED if dropped and self._drop_purges else data)
+        self._window_len.append(data_len)
+        if dropped:
             self._drop_budget -= 1
-            if self._drop_purges:
-                buffer.pop(seq, None)
             host.sim.trace.record(
                 host.now(), "net.drop", src=host.address,
                 dst=self.group, protocol=self._protocol,
                 reason="injected")
             return seq
+        datagram = PgmDatagram(group=self.group, sender=host.address,
+                               kind="odata", seq=seq, data=data,
+                               data_len=data_len)
         peers = self._peers
         self.odata_sent += len(peers)
         protocol = self._protocol
@@ -118,13 +125,14 @@ class PgmSender:
         return seq
 
     def _on_nak(self, packet: Packet) -> None:
-        nak: PgmDatagram = packet.payload
-        datagram = self._buffer.get(nak.seq)
-        if datagram is None:
-            return  # repair window exceeded; receiver will give up
+        seq = packet.payload.seq
+        window = self._window_data
+        index = seq - self._next_seq + len(window)
+        if not 0 <= index < len(window) or window[index] is _PURGED:
+            return  # outside the window or purged; receiver will give up
         repair = PgmDatagram(group=self.group, sender=self.host.address,
-                             kind="rdata", seq=datagram.seq,
-                             data=datagram.data, data_len=datagram.data_len)
+                             kind="rdata", seq=seq, data=window[index],
+                             data_len=self._window_len[index])
         self.rdata_sent += 1
         self.host.send_packet(Packet(
             src=self.host.address, dst=packet.src,
@@ -242,7 +250,7 @@ class PgmReceiver:
         ``start_seq`` is where the stream cursor begins: an evacuated
         replica joining a long-lived group subscribes at its replay
         horizon so the gap back to the sender's current sequence is
-        NAK-repaired from the retain buffer rather than treated as a
+        NAK-repaired from the retransmit window rather than treated as a
         from-zero stream.
         """
         if sender_addr in self._streams:

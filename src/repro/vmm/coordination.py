@@ -172,7 +172,8 @@ class ReplicaCoordination:
             self._agreement_born[seq] = self.sim.now
             if self.detection_enabled:
                 self._schedule_agreement_sweep()
-        agreement.retarget(self.live_expected)
+        if agreement.expected != self.live_expected:
+            agreement.retarget(self.live_expected)   # a rejoin moved it
         if replica_id not in agreement.proposals and not agreement.decided:
             agreement.propose(replica_id, proposed_virt)
         if agreement.decided:

@@ -214,25 +214,42 @@ class TestBenchRunCommand:
         assert named in capsys.readouterr().err
         assert not path.exists()
 
-    @pytest.mark.parametrize("name, sets", [
-        ("kernel.scale1", ("duration=-1",)),
-        ("chaos.storm", ("duration=1",)),
-        ("chaos.storm", ("duration=NaN",)),
-        ("storage.repair", ("duration=NaN",)),
-        ("mitigation.frontier", ("duration=-1",)),
-        ("chaos.storm", ("duration=abc",)),
-        ("mitigation.frontier", ("duration=true",)),
-        ("storage.repair", ("duration=abc",)),
+    @pytest.mark.parametrize("name, sets, field", [
+        ("kernel.scale1", ("duration=-1",), "duration"),
+        ("chaos.storm", ("duration=1",), "duration"),
+        ("chaos.storm", ("duration=NaN",), "duration"),
+        ("storage.repair", ("duration=NaN",), "duration"),
+        ("mitigation.frontier", ("duration=-1",), "duration"),
+        ("chaos.storm", ("duration=abc",), "duration"),
+        ("mitigation.frontier", ("duration=true",), "duration"),
+        ("storage.repair", ("duration=abc",), "duration"),
+        ("storage.repair", ("crash_at=abc",), "crash_at"),
+        ("storage.repair", ("k=abc",), "k"),
+        ("chaos.storm", ("seeds=1", "duration=3", "rate=abc"), "rate"),
+        ("storage.repair", ("crash_at=-1",), "crash_at"),
+        ("kernel.scale2", ("repeats=0",), "repeats"),
+        ("chaos.storm", ("seeds=1", "duration=3", "rate=-1"), "rate"),
+        ("mitigation.frontier", ("duration=1", "bins=0"), "bins"),
+        ("mitigation.frontier", ("duration=1", "policies=bogus"),
+         "policies"),
+        ("mitigation.frontier", ("duration=1", "attacks=bogus"),
+         "attacks"),
+        ("mitigation.frontier", ("duration=1", "policies=1"), "policies"),
     ], ids=["scale-duration", "storm-duration", "storm-duration-nan",
             "repair-duration-nan", "frontier-duration",
             "storm-duration-str", "frontier-duration-bool",
-            "repair-duration-str"])
+            "repair-duration-str", "repair-crash-at-str", "repair-k-str",
+            "storm-rate-str", "repair-crash-at-negative",
+            "scale-repeats-zero", "storm-rate-negative",
+            "frontier-bins-zero", "frontier-policy-unknown",
+            "frontier-attack-unknown", "frontier-policies-int"])
     def test_bad_value_exits_2_before_any_cell_runs(
-            self, tmp_path, capsys, monkeypatch, name, sets):
-        """A value the runner's own check rejects (out of range, NaN, a
-        bool or a string that is not JSON): one ``error:`` line naming
-        the field, no chaos, frontier or storage cell run and nothing
-        appended."""
+            self, tmp_path, capsys, monkeypatch, name, sets, field):
+        """A value of the wrong type for the cell default it replaces,
+        or one the runner's own check rejects (out of range, NaN, a
+        bool, a string that is not JSON or an unknown name): one
+        ``error:`` line naming the field, no chaos, frontier or storage
+        cell run and nothing appended."""
         import repro.analysis.chaos as chaos
         import repro.analysis.mitigation as mitigation
         ran = []
@@ -262,7 +279,7 @@ class TestBenchRunCommand:
         assert err.value.code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: duration must")
+        assert lines[0].startswith(f"error: {field} must")
         assert ran == []
         assert not path.exists()
 
@@ -372,14 +389,20 @@ class TestCellReports:
         ("chaos.storm", STORM_SMALL,
          ["Invariants: FAIL -- 1 violations:", " single: injected"]),
         ("storage.repair", REPAIR_SMALL, ["  violation: injected"]),
-        ("mitigation.frontier", ("attacks=bogus",),
+        ("mitigation.frontier", ("attacks=probe",),
          ["Gate: skipped", "  cell failed: mitigation_cell(",
-          "unknown attack 'bogus'"]),
+          "the probe failed"]),
     ])
     def test_failed_gate_prints_every_violation(self, capsys, monkeypatch,
                                                 name, sets, printed):
+        from repro.attacks import ATTACK_SUITE
+
+        def failing_probe(**kwargs):
+            raise RuntimeError("the probe failed")
+
         monkeypatch.setattr("repro.faults.invariants.check_all",
                             lambda *args, **kwargs: ["injected"])
+        monkeypatch.setitem(ATTACK_SUITE, "probe", failing_probe)
         with pytest.raises(SystemExit) as err:
             no_write_run(name, *sets)
         assert err.value.code == 1

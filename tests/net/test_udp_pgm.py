@@ -1,8 +1,11 @@
 """Tests for UDP and the PGM reliable multicast."""
 
+import gc
+
 import pytest
 
 from repro.net import Link, Network, PgmReceiver, PgmSender, RealtimeNode, UdpStack
+from repro.net.packet import PgmDatagram
 from repro.sim import Simulator
 
 
@@ -137,3 +140,86 @@ class TestPgm:
         sim.run(until=10.0)
         # the stream still progressed: delivered + given-up covers a prefix
         assert len(got) + len(lost) >= 25
+
+
+class TestRetransmitWindow:
+    """The sender keeps the data of its last ``retain`` seqs for NAK
+    repair, and nothing else."""
+
+    @staticmethod
+    def sender_and_receiver(retain=4096):
+        sim = Simulator()
+        _, nodes = make_nodes(sim, ["s", "r"])
+        sender = PgmSender(nodes["s"], "grp", ["r"], retain=retain)
+        receiver = PgmReceiver(nodes["r"], "grp", max_naks=2)
+        rdata = []
+        send = nodes["s"].send_packet
+
+        def recording(packet):
+            if packet.payload.kind == "rdata":
+                rdata.append(packet.payload.seq)
+            send(packet)
+
+        nodes["s"].send_packet = recording
+        return sim, sender, receiver, rdata
+
+    def test_repair_reaches_back_exactly_retain_seqs(self):
+        sim, sender, receiver, rdata = self.sender_and_receiver(retain=8)
+        payloads = [[seq] for seq in range(21)]
+        for data in payloads[:20]:
+            sender.multicast(data)
+        sim.run()              # seqs 0-19 reach a host not yet listening
+        got, lost = [], []
+        receiver.subscribe("s", lambda data, seq: got.append((seq, data)),
+                           on_loss=lost.append, start_seq=10)
+        sender.multicast(payloads[20])   # the gap 10-19 is now visible
+        sim.run()
+        assert [seq for seq, _ in got] == list(range(13, 21))
+        assert all(data is payloads[seq] for seq, data in got)
+        assert lost == [10, 11, 12]
+        assert sorted(rdata) == list(range(13, 20))
+
+    def test_purged_seq_is_never_repaired(self):
+        sim, sender, receiver, rdata = self.sender_and_receiver()
+        got, lost = [], []
+        receiver.subscribe("s", lambda data, seq: got.append(data),
+                           on_loss=lost.append)
+        sender.multicast("a")
+        sender.drop_next(1, purge=True)
+        sender.multicast("b")
+        sender.multicast("c")
+        sim.run()
+        assert got == ["a", "c"]
+        assert lost == [1]
+        assert rdata == []
+
+    def test_retain_zero_repairs_nothing(self):
+        sim, sender, receiver, rdata = self.sender_and_receiver(retain=0)
+        got, lost = [], []
+        receiver.subscribe("s", lambda data, seq: got.append(data),
+                           on_loss=lost.append)
+        sender.multicast("a")
+        sender.drop_next(1)
+        sender.multicast("b")
+        sender.multicast("c")
+        sim.run()
+        assert got == ["a", "c"]
+        assert lost == [1]
+        assert rdata == [] and sender.rdata_sent == 0
+
+    def test_no_datagram_outlives_its_delivery(self):
+        sim = Simulator()
+        _, nodes = make_nodes(sim, ["s", "r1", "r2"])
+        sender = PgmSender(nodes["s"], "gc-window", ["r1", "r2"])
+        got = []
+        for name in ("r1", "r2"):
+            PgmReceiver(nodes[name], "gc-window", "s",
+                        lambda data, seq: got.append(seq))
+        for i in range(50):
+            sender.multicast(i)
+        sim.run()
+        assert len(got) == 100
+        gc.collect()
+        assert not [obj for obj in gc.get_objects()
+                    if isinstance(obj, PgmDatagram)
+                    and obj.group == "gc-window"]
