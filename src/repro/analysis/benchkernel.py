@@ -14,8 +14,8 @@ and reports
 - events per CPU second and per wall second (the earlier primary and
   historical metrics, kept for continuity with older trajectory
   entries);
-- calendar-queue high-water marks (total entries, largest bucket sort,
-  far-heap peak) and mediation p95, and
+- the event heap's high-water mark (most entries queued at once) and
+  mediation p95, and
 - the egress signature of every repeat: all repeats must be
   byte-identical, which is simultaneously the determinism gate and the
   regression fixture for the old process-global packet-uid counter
@@ -35,13 +35,12 @@ records; :mod:`repro.bench.registry` does the rest.
 import time
 from typing import Dict, List
 
-from repro.core.errors import BadOverride
+from repro.core.errors import check_count
 
 #: the result keys that become trajectory-entry metrics
 _METRIC_KEYS = ("sim_seconds_per_cpu_second", "events_per_cpu_second",
                 "events_per_second", "events_fired", "cpu_seconds",
-                "heap_high_water", "bucket_high_water", "far_high_water",
-                "mediation_p95")
+                "heap_high_water", "mediation_p95")
 
 
 class BenchError(RuntimeError):
@@ -59,13 +58,12 @@ def run_kernel_bench(tenants: int = 32,
     Repeats run in one warm process on purpose: identical egress
     signatures across them prove per-run determinism is independent of
     process history.  Throughput is taken from the best repeat (the
-    least-interfered-with one); high-water marks are identical across
-    repeats by determinism.
+    least-interfered-with one); the heap high-water mark is identical
+    across repeats by determinism.
     """
     from repro.analysis.scale import build_scale_spec, run_scale_cell
 
-    if repeats < 1:
-        raise BadOverride(f"repeats must be >= 1, got {repeats}")
+    check_count("repeats", repeats)
     runs: List[Dict[str, object]] = []
     for _ in range(repeats):
         spec = build_scale_spec(tenants, request_rate=request_rate)
@@ -82,8 +80,6 @@ def run_kernel_bench(tenants: int = 32,
             if cpu > 0 else 0.0,
             "events_per_second": round(row["events_per_second"], 1),
             "heap_high_water": row["heap_high_water"],
-            "bucket_high_water": row["bucket_high_water"],
-            "far_high_water": row["far_high_water"],
             "mediation_p95": row["mediation_p95"],
             "egress_signature": row["egress_signature"],
         })
@@ -107,8 +103,6 @@ def run_kernel_bench(tenants: int = 32,
         "events_fired": best["events_fired"],
         "cpu_seconds": best["cpu_seconds"],
         "heap_high_water": best["heap_high_water"],
-        "bucket_high_water": best["bucket_high_water"],
-        "far_high_water": best["far_high_water"],
         "mediation_p95": best["mediation_p95"],
         "egress_signature": best["egress_signature"],
         "deterministic": True,

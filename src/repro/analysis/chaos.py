@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import (first_divergence, percentile,
                                    replay_verdict, trace_signature)
 from repro.core.config import RESILIENT
-from repro.core.errors import check_number
+from repro.core.errors import check_choices, check_number
 from repro.faults import FaultInjector, FaultSchedule
 from repro.faults.schedule import FaultEvent
 from repro.sim.kernel import Simulator
@@ -326,7 +326,9 @@ def run_chaos_campaign(seeds: Optional[Sequence[int]] = None,
     campaign executor; results are identical either way.  With
     ``profile=True`` each cell's primary run carries a subsystem
     profile (persisted per cell by the executor), and the summary
-    merges them into one campaign-wide attribution.
+    merges them into one campaign-wide attribution.  No seeds, no
+    scenarios or an unknown scenario raise
+    :class:`~repro.core.errors.BadOverride` before any cell runs.
     """
     from repro.campaign.executor import CampaignExecutor
     from repro.campaign.spec import CampaignSpec, SweepSpec
@@ -335,6 +337,8 @@ def run_chaos_campaign(seeds: Optional[Sequence[int]] = None,
     _check_cell(duration, rate)
     if seeds is None:
         seeds = [derive_root_seed(101, i) for i in range(7)]
+    check_choices("seeds", seeds)
+    check_choices("scenarios", scenarios, CELL_SCENARIOS)
     params = {"duration": duration, "rate": rate,
               "check_determinism": check_determinism}
     if profile:

@@ -20,7 +20,7 @@ import hashlib
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_table, percentile
-from repro.core.errors import BadOverride, check_number
+from repro.core.errors import check_choices, check_count, check_number
 
 #: the shipped policy family, cheapest protection first
 POLICY_NAMES = ("none", "uniform-noise", "deterland", "stopwatch")
@@ -86,21 +86,19 @@ def mitigation_frontier(policies: Sequence[str] = POLICY_NAMES,
                         timeout: Optional[float] = 600.0,
                         progress=None) -> dict:
     """Sweep policies x attacks x seeds through the campaign executor
-    and aggregate the leakage-vs-overhead frontier."""
+    and aggregate the leakage-vs-overhead frontier.  An empty or
+    unknown policy or attack list, or no seeds, raise
+    :class:`~repro.core.errors.BadOverride` before any cell runs."""
     from repro.campaign.executor import CampaignExecutor
     from repro.campaign.spec import CampaignSpec, SweepSpec
 
     check_number("duration", duration)
-    if bins < 2:
-        raise BadOverride(f"bins must be >= 2, got {bins!r}")
-    for name, chosen, known in (("policies", policies, POLICY_NAMES),
-                                ("attacks", attacks, ATTACK_NAMES)):
-        unknown = [item for item in chosen if item not in known]
-        if unknown:
-            raise BadOverride(f"{name} must be drawn from {known}, got "
-                              f"{unknown}")
+    check_count("bins", bins, 2)
+    check_choices("policies", policies, POLICY_NAMES)
+    check_choices("attacks", attacks, ATTACK_NAMES)
     if seeds is None:
         seeds = [7]
+    check_choices("seeds", seeds)
     spec = CampaignSpec(
         name="mitigation-frontier",
         sweeps=[SweepSpec(

@@ -123,8 +123,6 @@ def run_scale_cell(spec: ScenarioSpec, duration: float = 4.0,
         "events_per_second": stats["events_per_second"],
         "wall_seconds": stats["wall_seconds"],
         "heap_high_water": stats["heap_high_water"],
-        "bucket_high_water": stats["bucket_high_water"],
-        "far_high_water": stats["far_high_water"],
         "packets_replicated": built.cloud.packets_replicated,
         "packets_released": released,
         "releases_per_sim_second": released / duration,

@@ -28,7 +28,7 @@ the suite.
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import replay_verdict, trace_signature
-from repro.core.errors import BadOverride, check_number
+from repro.core.errors import BadOverride, check_count, check_number
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import Trace
@@ -193,6 +193,8 @@ def run_storage_repair_cell(seed: int = 7, duration: float = 6.0,
     """
     if not 1 <= k <= n:
         raise BadOverride(f"need 1 <= k <= n, got k={k} n={n}")
+    check_count("objects", objects)
+    check_count("object_size", object_size)
     check_number("crash_at", crash_at, closed=True)
     check_number("duration", duration, crash_at + CELL_DRAIN,
                  f" s (crash_at + {CELL_DRAIN} s drain)")

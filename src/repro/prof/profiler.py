@@ -15,7 +15,7 @@ Attribution is *total*: the summary carries two synthetic rows so the
 per-subsystem seconds sum exactly to the measured whole --
 
 - ``kernel`` absorbs the dispatch gap (event-loop seconds not spent
-  inside any callback: queue maintenance, calendar advancement), and
+  inside any callback: heap pushes and pops), and
 - ``harness`` absorbs everything outside the event loop (scenario
   build, signature hashing) when the caller supplies the cell's total.
 

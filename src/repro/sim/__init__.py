@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 This subpackage is the substrate on which the whole StopWatch reproduction
-runs: a callback-driven discrete-event simulator (calendar queue, shared
+runs: a callback-driven discrete-event simulator (one binary heap, shared
 timer wheels), one-shot events, named deterministic random streams and a
 tracing facility.  Every simulation component schedules plain
 callbacks; the guest engine (:mod:`repro.vmm.hypervisor`) resumes its own

@@ -1,4 +1,4 @@
-"""The event loop: a calendar-queue discrete-event simulator.
+"""The event loop: a binary-heap discrete-event simulator.
 
 Time is a float in **seconds of simulated real (wall-clock) time**.  All
 higher layers (virtual time inside guests, virtual device clocks) are
@@ -9,29 +9,17 @@ Scheduling is deterministic: events at the same timestamp fire in the order
 they were scheduled (FIFO tie-break via a monotonically increasing sequence
 number), so a simulation with fixed RNG seeds is exactly reproducible.
 
-The scheduler is a three-tier calendar queue (see DESIGN.md):
-
-- a **current batch**: the sorted entries of the time slot being drained,
-  consumed by advancing an index (no per-event heap sift);
-- **near-future buckets**: unsorted per-slot lists covering a sliding
-  window of ``span_slots`` slots of ``bucket_width`` seconds each, found
-  via a small heap of occupied slot indices and sorted once on first
-  access (one Timsort per bucket instead of two heap sifts per event);
-- a **far heap** holding everything beyond the window (long sweeps,
-  scenario-end timers), drained into buckets when the window advances.
-
-Entries are ``list`` subclasses laid out as ``[time, seq, fn, args,
-state, owner]`` so every comparison the queue makes -- bucket sorts,
-bisects of same-slot inserts, far-heap sifts -- runs on the C fast path
+Every scheduled call is one entry on a single :mod:`heapq` list (see
+DESIGN.md).  Entries are ``list`` subclasses laid out as ``[time, seq,
+fn, args, state, owner]``, so every sift compares on the C fast path
 (``list.__lt__`` compares ``time`` then ``seq``; ``seq`` is unique, so
-later elements are never reached).  Fire order is by ``(time, seq)``
-regardless of which tier an entry sat in, which is what keeps the
-calendar bit-identical to a plain binary heap (property-tested).
+later elements are never reached) and the heap pops in exactly
+``(time, seq)`` order.  A cancelled entry stays in the heap until it
+reaches the head, where it is discarded without firing.
 """
 
-import heapq
 import time as _time
-from bisect import insort
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.errors import SimulationError
@@ -39,12 +27,6 @@ from repro.sim.events import Event
 
 #: entry state machine: scheduled -> fired | cancelled
 _PENDING, _FIRED, _CANCELLED = 0, 1, 2
-
-#: default calendar geometry: 64 us slots, an 8192-slot (~0.5 s) window.
-#: Dense fleets put tens of entries per slot; sparse runs jump occupied
-#: slots via the slot heap, so empty slots are never visited.
-DEFAULT_BUCKET_WIDTH = 64e-6
-DEFAULT_SPAN_SLOTS = 8192
 
 _INF = float("inf")
 
@@ -56,7 +38,7 @@ class ScheduledCall(list):
     :meth:`Simulator.call_after`.  The handle *is* the queue entry: a
     list ``[time, seq, fn, args, state, owner]`` that compares by
     ``(time, seq)`` through C-level ``list`` comparison, so it can live
-    directly in bucket lists and heaps with zero boxing.
+    directly in the heap with zero boxing.
     """
 
     __slots__ = ()
@@ -202,46 +184,20 @@ class Simulator:
     to subsystems and callbacks; the default keeps the hot loop
     uninstrumented.  Profiling is measurement-only: event order, RNG
     draws and every trace are byte-identical with it on or off.
-
-    ``bucket_width``/``span_slots`` tune the calendar geometry (seconds
-    per slot, slots per window); the defaults suit the fleet benchmarks
-    and fire order never depends on them.
     """
 
-    def __init__(self, seed: int = 0, trace=None, profile: bool = False,
-                 bucket_width: float = DEFAULT_BUCKET_WIDTH,
-                 span_slots: int = DEFAULT_SPAN_SLOTS):
+    def __init__(self, seed: int = 0, trace=None, profile: bool = False):
         from repro.sim.rng import RngRegistry
         from repro.sim.monitor import MetricSet, Trace
         from repro.obs.flows import FlowTracker
-
-        if bucket_width <= 0:
-            raise SimulationError(
-                f"bucket_width must be positive, got {bucket_width}")
-        if span_slots < 2:
-            raise SimulationError(
-                f"span_slots must be >= 2, got {span_slots}")
 
         self.now: float = 0.0
         self._seq: int = 0
         self._running: bool = False
         self._stopped: bool = False
         self._cancelled_pending: int = 0
-
-        # calendar state (see module docstring)
-        self._width = bucket_width
-        self._inv_width = 1.0 / bucket_width
-        self._span = span_slots
-        self._cur: list = []          # sorted entries of the current slot
-        self._cur_pos: int = 0
-        self._cur_slot: int = 0
-        self._cur_end: float = bucket_width      # (cur_slot + 1) * width
-        self._buckets: Dict[int, list] = {}
-        self._slot_heap: List[int] = []
-        self._horizon_slot: int = span_slots
-        self._horizon: float = span_slots * bucket_width
-        self._far: list = []
-        self._size: int = 0           # queued entries, incl. cancelled
+        #: the heap of queued entries, cancelled ones included
+        self._queue: List[ScheduledCall] = []
         self._wheels: Dict[float, TimerWheel] = {}
 
         self.rng = RngRegistry(seed)
@@ -255,8 +211,6 @@ class Simulator:
         self.event_count: int = 0
         self.cancelled_count: int = 0
         self.heap_high_water: int = 0
-        self.bucket_high_water: int = 0
-        self.far_high_water: int = 0
         self.wall_seconds: float = 0.0
         self.profile = bool(profile)
         #: subsystem-attributed profiler (repro.prof), present only when
@@ -280,27 +234,10 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         entry = ScheduledCall((time, seq, fn, args, 0, self))
-        if time < self._cur_end:
-            # lands in the slot being drained: ordered insert after the
-            # consumption point (C bisect; entries compare by (time, seq))
-            insort(self._cur, entry, self._cur_pos)
-        elif time < self._horizon:
-            slot = int(time * self._inv_width)
-            bucket = self._buckets.get(slot)
-            if bucket is None:
-                self._buckets[slot] = [entry]
-                heapq.heappush(self._slot_heap, slot)
-            else:
-                bucket.append(entry)
-        else:
-            heapq.heappush(self._far, entry)
-            far_size = len(self._far)
-            if far_size > self.far_high_water:
-                self.far_high_water = far_size
-        size = self._size + 1
-        self._size = size
-        if size > self.heap_high_water:
-            self.heap_high_water = size
+        queue = self._queue
+        heappush(queue, entry)
+        if len(queue) > self.heap_high_water:
+            self.heap_high_water = len(queue)
         return entry
 
     def call_after(self, delay: float, fn: Callable, *args) -> ScheduledCall:
@@ -312,18 +249,7 @@ class Simulator:
     def call_soon(self, fn: Callable, *args) -> ScheduledCall:
         """Schedule ``fn(*args)`` at the current time (after pending events
         already scheduled for this instant)."""
-        # specialised call_at(now, ...): the past-check cannot fail, and
-        # now always lands in the current batch (mid-run now < _cur_end;
-        # after a drained run the batch degenerates to an append)
-        seq = self._seq
-        self._seq = seq + 1
-        entry = ScheduledCall((self.now, seq, fn, args, 0, self))
-        insort(self._cur, entry, self._cur_pos)
-        size = self._size + 1
-        self._size = size
-        if size > self.heap_high_water:
-            self.heap_high_water = size
-        return entry
+        return self.call_at(self.now, fn, *args)
 
     def shared_wheel(self, period: float) -> TimerWheel:
         """The simulation-wide :class:`TimerWheel` for ``period``.
@@ -351,81 +277,29 @@ class Simulator:
         return Event(self)
 
     # ------------------------------------------------------------------
-    # the calendar
-    # ------------------------------------------------------------------
-    def _advance(self) -> bool:
-        """Make ``self._cur[self._cur_pos]`` the next live entry.
-
-        Returns False when the queue holds no live entries.  Cancelled
-        entries are discarded (and counted) on the way; drained buckets
-        are dropped, and the window is advanced over the far heap when
-        the near-future tiers run dry.
-        """
-        while True:
-            cur = self._cur
-            pos = self._cur_pos
-            n = len(cur)
-            while pos < n:
-                if cur[pos][4] == _PENDING:
-                    self._cur_pos = pos
-                    return True
-                # cancelled entry: discard for free
-                pos += 1
-                self._size -= 1
-                self._cancelled_pending -= 1
-                self.cancelled_count += 1
-            self._cur_pos = pos
-            slot_heap = self._slot_heap
-            if slot_heap:
-                slot = heapq.heappop(slot_heap)
-                bucket = self._buckets.pop(slot)
-                bucket.sort()
-                if len(bucket) > self.bucket_high_water:
-                    self.bucket_high_water = len(bucket)
-                self._cur = bucket
-                self._cur_pos = 0
-                self._cur_slot = slot
-                self._cur_end = (slot + 1) * self._width
-                continue
-            far = self._far
-            if far:
-                head_time = far[0][0]
-                if head_time == _INF:
-                    # everything left is at t=inf: heap order is already
-                    # (time, seq) order; drain it as one final batch
-                    batch = [heapq.heappop(far) for _ in range(len(far))]
-                    self._cur = batch
-                    self._cur_pos = 0
-                    self._cur_end = _INF
-                    continue
-                head_slot = int(head_time * self._inv_width)
-                self._horizon_slot = head_slot + self._span
-                self._horizon = self._horizon_slot * self._width
-                horizon = self._horizon
-                buckets = self._buckets
-                inv_width = self._inv_width
-                while far and far[0][0] < horizon:
-                    entry = heapq.heappop(far)
-                    slot = int(entry[0] * inv_width)
-                    bucket = buckets.get(slot)
-                    if bucket is None:
-                        buckets[slot] = [entry]
-                        heapq.heappush(slot_heap, slot)
-                    else:
-                        bucket.append(entry)
-                continue
-            return False
-
-    # ------------------------------------------------------------------
     # the loop
     # ------------------------------------------------------------------
+    def _head(self) -> Optional[ScheduledCall]:
+        """The next live entry, left on the heap; None when none remain.
+
+        Cancelled entries that reach the head are discarded (and
+        counted) on the way.
+        """
+        queue = self._queue
+        while queue:
+            entry = queue[0]
+            if entry[4] == _PENDING:
+                return entry
+            heappop(queue)
+            self._cancelled_pending -= 1
+            self.cancelled_count += 1
+        return None
+
     def step(self) -> bool:
         """Run a single live event; return False when none remain."""
-        if not self._advance():
+        if self._head() is None:
             return False
-        entry = self._cur[self._cur_pos]
-        self._cur_pos += 1
-        self._size -= 1
+        entry = heappop(self._queue)
         self.now = entry[0]
         self.event_count += 1
         entry[4] = _FIRED
@@ -438,7 +312,7 @@ class Simulator:
             started = _time.perf_counter()
             fn(*args)
             self.profiler.record(fn, _time.perf_counter() - started,
-                                 self.now, self._size)
+                                 self.now, len(self._queue))
         else:
             fn(*args)
         return True
@@ -464,23 +338,22 @@ class Simulator:
         self._stopped = False
         fired = 0
         started = _time.perf_counter()
-        profile = self.profile
         try:
-            if max_events is None and not profile:
+            if max_events is None and not self.profile:
                 fired = self._run_fast(until)
             else:
                 while not self._stopped:
                     if max_events is not None and fired >= max_events:
                         break
-                    if not self._advance():
-                        break
-                    if until is not None \
-                            and self._cur[self._cur_pos][0] > until:
+                    head = self._head()
+                    if head is None or until is not None \
+                            and head[0] > until:
                         break
                     self.step()
                     fired += 1
             if until is not None and until > self.now and not self._stopped:
-                if not self._advance() or self._cur[self._cur_pos][0] > until:
+                head = self._head()
+                if head is None or head[0] > until:
                     self.now = until
         finally:
             self._running = False
@@ -489,24 +362,22 @@ class Simulator:
 
     def _run_fast(self, until: Optional[float]) -> int:
         """The unbudgeted, unprofiled hot loop: inlined :meth:`step` with
-        the live-head common case of :meth:`_advance` folded in."""
+        :meth:`_head`'s discarding of cancelled entries folded in."""
         fired = 0
         bound = _INF if until is None else until
-        advance = self._advance
-        while not self._stopped:
-            cur = self._cur
-            pos = self._cur_pos
-            if pos >= len(cur) or cur[pos][4] != _PENDING:
-                if not advance():
-                    break
-                cur = self._cur
-                pos = self._cur_pos
-            entry = cur[pos]
+        queue = self._queue
+        while queue and not self._stopped:
+            entry = queue[0]
+            if entry[4] != _PENDING:
+                # cancelled entry: discard for free
+                heappop(queue)
+                self._cancelled_pending -= 1
+                self.cancelled_count += 1
+                continue
             time = entry[0]
             if time > bound:
                 break
-            self._cur_pos = pos + 1
-            self._size -= 1
+            heappop(queue)
             self.now = time
             entry[4] = _FIRED
             fn = entry[2]
@@ -526,13 +397,12 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-fired live (non-cancelled) scheduled calls."""
-        return self._size - self._cancelled_pending
+        return len(self._queue) - self._cancelled_pending
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
-        if not self._advance():
-            return None
-        return self._cur[self._cur_pos][0]
+        head = self._head()
+        return None if head is None else head[0]
 
     # ------------------------------------------------------------------
     # instrumentation
@@ -548,8 +418,6 @@ class Simulator:
             "events_cancelled": self.cancelled_count,
             "events_pending": self.pending_events,
             "heap_high_water": self.heap_high_water,
-            "bucket_high_water": self.bucket_high_water,
-            "far_high_water": self.far_high_water,
             "wall_seconds": wall,
             "events_per_second": self.event_count / wall if wall > 0.0
             else 0.0,

@@ -64,12 +64,19 @@ class TestCampaign:
         assert len(summary["results"]) == 2
         assert summary["wall_seconds"] >= 0.0
 
-    def test_unknown_scenario_fails_the_campaign_not_the_process(self):
+    def test_failing_cell_fails_campaign_not_process(self, monkeypatch):
+        import repro.analysis.chaos as chaos
+
+        def broken_cell(**kwargs):
+            raise RuntimeError("the cell broke")
+
+        monkeypatch.setattr(chaos, "run_chaos_cell", broken_cell)
         summary = run_chaos_campaign(
-            seeds=[13], scenarios=("bogus",), duration=4.0,
+            seeds=[13], scenarios=("single",), duration=4.0,
             check_determinism=False)
         assert not summary["ok"]
         assert summary["violations"]
+        assert "the cell broke" in summary["violations"][0]
 
     def test_all_scenarios_are_registered(self):
         assert set(CELL_SCENARIOS) == {"single", "multi", "sharded"}

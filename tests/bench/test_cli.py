@@ -235,6 +235,16 @@ class TestBenchRunCommand:
         ("mitigation.frontier", ("duration=1", "attacks=bogus"),
          "attacks"),
         ("mitigation.frontier", ("duration=1", "policies=1"), "policies"),
+        ("chaos.storm", ("seeds=0",), "seeds"),
+        ("chaos.storm", ("seeds=-1",), "seeds"),
+        ("mitigation.frontier", ("seeds=0",), "seeds"),
+        ("chaos.storm", ("scenarios=[]",), "scenarios"),
+        ("mitigation.frontier", ("policies=",), "policies"),
+        ("mitigation.frontier", ("attacks=[]",), "attacks"),
+        ("chaos.storm", ("seeds=1", "duration=3", "scenarios=bogus"),
+         "scenarios"),
+        ("storage.repair", ("objects=0",), "objects"),
+        ("storage.repair", ("object_size=0",), "object_size"),
     ], ids=["scale-duration", "storm-duration", "storm-duration-nan",
             "repair-duration-nan", "frontier-duration",
             "storm-duration-str", "frontier-duration-bool",
@@ -242,14 +252,19 @@ class TestBenchRunCommand:
             "storm-rate-str", "repair-crash-at-negative",
             "scale-repeats-zero", "storm-rate-negative",
             "frontier-bins-zero", "frontier-policy-unknown",
-            "frontier-attack-unknown", "frontier-policies-int"])
+            "frontier-attack-unknown", "frontier-policies-int",
+            "storm-seeds-zero", "storm-seeds-negative",
+            "frontier-seeds-zero", "storm-scenarios-empty",
+            "frontier-policies-empty", "frontier-attacks-empty",
+            "storm-scenario-unknown", "repair-objects-zero",
+            "repair-object-size-zero"])
     def test_bad_value_exits_2_before_any_cell_runs(
             self, tmp_path, capsys, monkeypatch, name, sets, field):
         """A value of the wrong type for the cell default it replaces,
         or one the runner's own check rejects (out of range, NaN, a
-        bool, a string that is not JSON or an unknown name): one
-        ``error:`` line naming the field, no chaos, frontier or storage
-        cell run and nothing appended."""
+        bool, a string that is not JSON, an unknown name, or no seeds
+        or names at all): one ``error:`` line naming the field, no
+        chaos, frontier or storage cell run and nothing appended."""
         import repro.analysis.chaos as chaos
         import repro.analysis.mitigation as mitigation
         ran = []

@@ -1,5 +1,6 @@
-"""Calendar-queue edge cases, the clock-rewind regression, and the
-recurring-timer primitive (``TimerWheel``, via ``shared_wheel``).
+"""Event-queue edge cases, fire order against reference models, the
+clock-rewind regression, and the recurring-timer primitive
+(``TimerWheel``, via ``shared_wheel``).
 
 The clock-rewind test is the regression fixture for the ``run(until=T,
 max_events=N)`` bug: the old kernel snapped ``now = T`` whenever ``until``
@@ -113,10 +114,69 @@ class TestMassCancellation:
         assert sim.cancelled_count == 0
 
 
+class _RefCall:
+    """A reference-model handle: pending until fired or cancelled."""
+
+    def __init__(self, ref, time, seq, fn, args):
+        self.ref, self.time, self.seq = ref, time, seq
+        self.fn, self.args = fn, args
+
+    def cancel(self):
+        if self in self.ref.entries:
+            self.ref.entries.remove(self)
+
+
+class _Reference:
+    """The kernel's contract on a plain list: fire the minimum
+    ``(time, seq)`` entry, with ``run``'s budget and clock rules."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.entries = []
+        self._seq = 0
+
+    def call_at(self, time, fn, *args):
+        entry = _RefCall(self, time, self._seq, fn, args)
+        self._seq += 1
+        self.entries.append(entry)
+        return entry
+
+    def call_after(self, delay, fn, *args):
+        return self.call_at(self.now + delay, fn, *args)
+
+    def call_soon(self, fn, *args):
+        return self.call_at(self.now, fn, *args)
+
+    @property
+    def pending_events(self):
+        return len(self.entries)
+
+    def _head(self):
+        return min(self.entries, key=lambda e: (e.time, e.seq),
+                   default=None)
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while max_events is None or fired < max_events:
+            head = self._head()
+            if head is None or until is not None and head.time > until:
+                break
+            self.entries.remove(head)
+            self.now = head.time
+            head.fn(*head.args)
+            fired += 1
+        if until is not None and until > self.now:
+            head = self._head()
+            if head is None or head.time > until:
+                self.now = until
+        return fired
+
+
 class TestCalendarVsReferenceHeap:
-    """The calendar queue must fire in exactly (time, seq) order -- the
-    order a plain binary heap with FIFO tie-break would produce -- for
-    any schedule, including ones spanning the far-future tier."""
+    """The kernel must fire in exactly (time, seq) order -- the order a
+    plain sorted list with FIFO tie-break produces -- for any schedule,
+    including entries at infinity and entries that callbacks schedule
+    or cancel while the loop runs."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(
@@ -124,9 +184,7 @@ class TestCalendarVsReferenceHeap:
                   allow_nan=False, allow_infinity=False),
         st.booleans()), min_size=1, max_size=120))
     def test_fire_order_matches_reference(self, schedule):
-        # a tiny window (4 slots of 1 ms) forces constant far-heap
-        # drains and window advances; fire order must not care
-        sim = Simulator(bucket_width=1e-3, span_slots=4)
+        sim = Simulator()
         fired = []
         expected = []
         for seq, (t, cancel) in enumerate(schedule):
@@ -145,7 +203,7 @@ class TestCalendarVsReferenceHeap:
                     min_size=1, max_size=40),
            st.integers(min_value=0, max_value=9))
     def test_dynamic_rescheduling_keeps_order(self, delays, extra):
-        sim = Simulator(bucket_width=1e-3, span_slots=4)
+        sim = Simulator()
         fired = []
 
         def chain(delay, depth):
@@ -159,7 +217,7 @@ class TestCalendarVsReferenceHeap:
         assert fired == sorted(fired)
 
     def test_far_future_and_infinity_entries(self):
-        sim = Simulator(bucket_width=1e-3, span_slots=4)
+        sim = Simulator()
         fired = []
         inf = float("inf")
         sim.call_at(inf, fired.append, "end-b")
@@ -169,7 +227,54 @@ class TestCalendarVsReferenceHeap:
         sim.run()
         assert fired == ["near", "far", "end-b", "end-c"]
         assert sim.now == inf
-        assert sim.far_high_water >= 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                 min_size=1, max_size=12),
+        st.lists(st.one_of(
+            st.tuples(st.just("soon"), st.just(0.0)),
+            st.tuples(st.just("after"), st.sampled_from([0.0, 0.25, 1.0])),
+            st.tuples(st.just("cancel"), st.integers(-3, 12)),
+            st.tuples(st.just("idle"), st.just(0))),
+            min_size=1, max_size=10),
+        st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.5]),
+                           st.one_of(st.none(), st.integers(0, 4))),
+                 max_size=6))
+    def test_in_callback_scheduling_matches_reference(self, times, program,
+                                                      slices):
+        """Callbacks ``call_soon``, ``call_after`` and ``cancel`` other
+        entries (at the current instant too) while ``run(until=...,
+        max_events=...)`` slices the loop: the kernel fires what the
+        reference model fires, and agrees on the clock and the pending
+        count after every slice."""
+
+        def drive(sched):
+            log, handles, observed = [], [], []
+
+            def callback(label):
+                log.append((sched.now, label))
+                op, arg = program[(len(log) - 1) % len(program)]
+                if len(log) > 120:        # bound the soon/after chains
+                    return
+                if op == "soon":
+                    handles.append(sched.call_soon(callback, len(handles)))
+                elif op == "after":
+                    handles.append(sched.call_after(arg, callback,
+                                                    len(handles)))
+                elif op == "cancel":
+                    handles[arg % len(handles)].cancel()
+
+            for t in times:
+                handles.append(sched.call_at(t, callback, len(handles)))
+            for delta, budget in slices:
+                fired = sched.run(until=sched.now + delta,
+                                  max_events=budget)
+                observed.append((fired, sched.now, sched.pending_events))
+            observed.append((sched.run(), sched.now, sched.pending_events))
+            return log, observed
+
+        assert drive(Simulator()) == drive(_Reference())
 
 
 class TestTimerWheel:
