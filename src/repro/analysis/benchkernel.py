@@ -35,7 +35,7 @@ records; :mod:`repro.bench.registry` does the rest.
 import time
 from typing import Dict, List
 
-from repro.core.errors import check_count
+from repro.core.errors import check_count, check_number
 
 #: the result keys that become trajectory-entry metrics
 _METRIC_KEYS = ("sim_seconds_per_cpu_second", "events_per_cpu_second",
@@ -63,6 +63,8 @@ def run_kernel_bench(tenants: int = 32,
     """
     from repro.analysis.scale import build_scale_spec, run_scale_cell
 
+    check_count("tenants", tenants)
+    check_number("request_rate", request_rate)
     check_count("repeats", repeats)
     runs: List[Dict[str, object]] = []
     for _ in range(repeats):

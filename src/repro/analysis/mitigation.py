@@ -87,8 +87,10 @@ def mitigation_frontier(policies: Sequence[str] = POLICY_NAMES,
                         progress=None) -> dict:
     """Sweep policies x attacks x seeds through the campaign executor
     and aggregate the leakage-vs-overhead frontier.  An empty or
-    unknown policy or attack list, or no seeds, raise
-    :class:`~repro.core.errors.BadOverride` before any cell runs."""
+    unknown policy or attack list, an unknown victim workload, or no
+    seeds, raise :class:`~repro.core.errors.BadOverride` before any
+    cell runs."""
+    from repro.attacks.probes import VICTIM_WORKLOADS
     from repro.campaign.executor import CampaignExecutor
     from repro.campaign.spec import CampaignSpec, SweepSpec
 
@@ -96,6 +98,7 @@ def mitigation_frontier(policies: Sequence[str] = POLICY_NAMES,
     check_count("bins", bins, 2)
     check_choices("policies", policies, POLICY_NAMES)
     check_choices("attacks", attacks, ATTACK_NAMES)
+    check_choices("workload", [workload], VICTIM_WORKLOADS)
     if seeds is None:
         seeds = [7]
     check_choices("seeds", seeds)

@@ -79,22 +79,19 @@ class ReplicatedVM:
         return sum(vmm.stats[key] for vmm in self.vmms)
 
 
-class ClientPort:
-    """An external client machine: a RealtimeNode plus its WAN links."""
+class ClientPort(RealtimeNode):
+    """An external client machine: a RealtimeNode that owns its WAN
+    links, so protocol stacks bind to it directly."""
 
     def __init__(self, sim, network: Network, name: str,
                  latency: float, bandwidth: float, jitter: float):
-        self.node = RealtimeNode(sim, network, name)
+        super().__init__(sim, network, name)
         self.name = name
         self.uplink = Link(sim, latency=latency, bandwidth=bandwidth,
                            jitter=jitter, name=f"wan.up.{name}")
         self.downlink = Link(sim, latency=latency, bandwidth=bandwidth,
                              jitter=jitter, name=f"wan.down.{name}")
         network.add_route(None, name, self.downlink)
-
-    # Forward the NetHost interface so protocol stacks bind directly.
-    def __getattr__(self, item):
-        return getattr(self.node, item)
 
 
 def shard_index(vm_name: str, shards: int) -> int:

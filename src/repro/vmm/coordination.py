@@ -2,21 +2,25 @@
 
 Each replica's VMM owns one :class:`ReplicaCoordination` instance.  All
 traffic rides a per-VM PGM multicast group among the replica hosts'
-dom0 endpoints.  Message kinds:
+dom0 endpoints.  A PGM stream names its sender, so no message repeats
+the sender's replica id: the receiver subscribes to each sibling's
+stream under that sibling's id.  Message kinds:
 
-- ``("proposal", seq, replica_id, virt)`` -- proposed virtual delivery
-  time for inbound packet ``seq``; collected into a
+- ``boundary`` (a bare ``int``) -- pacing, the most frequent message:
+  the sender reached pacing boundary ``boundary``; the fastest replica
+  stalls until enough siblings are close behind (this enforces the
+  paper's "maximum allowed difference between the fastest two
+  replicas' virtual times").
+- ``("proposal", seq, virt)`` -- proposed virtual delivery time for
+  inbound packet ``seq``; collected into a
   :class:`~repro.core.median.MedianAgreement`, whose decision is handed
   to the VMM.
-- ``("progress", replica_id, boundary)`` -- pacing: the sender reached
-  pacing boundary ``boundary``; the fastest replica stalls until enough
-  siblings are close behind (this enforces the paper's "maximum allowed
-  difference between the fastest two replicas' virtual times").
-- ``("epoch", k, replica_id, duration, real_time)`` -- a Sec. IV-A
-  epoch resynchronisation sample.
-- ``("heartbeat", replica_id)`` -- failure-detection liveness beacon
-  (only with ``config.failure_detection``).
-- ``("rejoin", replica_id[, floor])`` -- a recovered replica announcing
+- ``("epoch", k, duration, real_time)`` -- a Sec. IV-A epoch
+  resynchronisation sample.
+- :data:`HEARTBEAT` -- failure-detection liveness beacon (only with
+  ``config.failure_detection``); every replica sends the one shared
+  tuple.
+- ``("rejoin"[, floor])`` -- a recovered replica announcing
   that it is live again and will participate in future agreements.  The
   optional ``floor`` is its ingress-sequence replay horizon: decisions at
   or above it may never reach the rejoiner (they were addressed to its
@@ -52,6 +56,7 @@ converges on the group's decision instead of stranding an agreement.
 """
 
 from collections import deque
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.core.median import MedianAgreement
@@ -61,6 +66,8 @@ from repro.net.pgm import PgmReceiver, PgmSender
 
 #: retained (seq -> decided virtual time) entries for late-proposal replies
 DECISION_CACHE = 4096
+#: the heartbeat payload: the stream names the sender, so one tuple serves
+HEARTBEAT = ("heartbeat",)
 
 
 class ReplicaCoordination:
@@ -85,9 +92,8 @@ class ReplicaCoordination:
         start_seqs = sibling_start_seqs or {}
         for rid, address in sibling_addresses.items():
             self.receiver.subscribe(
-                address,
-                lambda message, seq, r=rid: self._on_message(r, message),
-                on_loss=lambda seq, r=rid: self._on_stream_loss(r, seq),
+                address, partial(self._on_message, rid),
+                on_loss=partial(self._on_stream_loss, rid),
                 start_seq=start_seqs.get(rid, 0))
         host.node.register_protocol(f"coord-decided.{self.vm_name}",
                                     self._on_decided)
@@ -141,9 +147,8 @@ class ReplicaCoordination:
         self.sender.replace_member(old_address, new_address)
         self.receiver.unsubscribe(old_address)
         self.receiver.subscribe(
-            new_address,
-            lambda message, seq, r=replica_id: self._on_message(r, message),
-            on_loss=lambda seq, r=replica_id: self._on_stream_loss(r, seq))
+            new_address, partial(self._on_message, replica_id),
+            on_loss=partial(self._on_stream_loss, replica_id))
         self.last_heard[replica_id] = self.sim.now
 
     # ------------------------------------------------------------------
@@ -158,8 +163,7 @@ class ReplicaCoordination:
             self.vmm.commit_network_delivery(seq, decided, packet)
             return
         self._packets[seq] = packet
-        self.sender.multicast(("proposal", seq, self.replica_id,
-                               proposed_virt))
+        self.sender.multicast(("proposal", seq, proposed_virt))
         self._feed(seq, self.replica_id, proposed_virt)
 
     def _feed(self, seq: int, replica_id: int, proposed_virt: float) -> None:
@@ -235,7 +239,7 @@ class ReplicaCoordination:
     # pacing
     # ------------------------------------------------------------------
     def report_progress(self, boundary: int) -> None:
-        self.sender.multicast(("progress", self.replica_id, boundary))
+        self.sender.multicast(boundary)
 
     def can_proceed(self, boundary: int) -> bool:
         """True unless this replica is too far ahead of its live siblings.
@@ -250,11 +254,10 @@ class ReplicaCoordination:
         if need == 0:
             return True
         progress = self.sibling_progress
-        progresses = sorted((progress[rid]
-                             for rid, ok in self.live.items() if ok),
-                            reverse=True)
+        progresses = [progress[rid] for rid, ok in self.live.items() if ok]
         if not progresses:
             return True
+        progresses.sort(reverse=True)
         reference = progresses[min(need, len(progresses)) - 1]
         return boundary - reference <= self.lead_boundaries
 
@@ -277,8 +280,8 @@ class ReplicaCoordination:
     # epoch resynchronisation
     # ------------------------------------------------------------------
     def broadcast_epoch_sample(self, k: int, sample: EpochSample) -> None:
-        self.sender.multicast(("epoch", k, sample.replica_id,
-                               sample.duration, sample.real_time))
+        self.sender.multicast(("epoch", k, sample.duration,
+                               sample.real_time))
         self._store_epoch(k, sample)
 
     def _store_epoch(self, k: int, sample: EpochSample) -> None:
@@ -332,7 +335,7 @@ class ReplicaCoordination:
     def _heartbeat(self):
         if not self._detection_alive():
             return False   # unregister from the wheel
-        self.sender.multicast(("heartbeat", self.replica_id), data_len=16)
+        self.sender.multicast(HEARTBEAT, data_len=16)
         return None
 
     def _check_liveness(self):
@@ -430,9 +433,9 @@ class ReplicaCoordination:
             self.last_heard[rid] = self.sim.now
         self.live_expected = 1 + len(self.live)
         if floor is None:
-            self.sender.multicast(("rejoin", self.replica_id))
+            self.sender.multicast(("rejoin",))
         else:
-            self.sender.multicast(("rejoin", self.replica_id, floor))
+            self.sender.multicast(("rejoin", floor))
         if self.detection_enabled:
             self._start_detection()
 
@@ -490,29 +493,29 @@ class ReplicaCoordination:
     # ------------------------------------------------------------------
     # inbound dispatch
     # ------------------------------------------------------------------
-    def _on_message(self, sender_id: int, message) -> None:
+    def _on_message(self, sender_id: int, message, pgm_seq: int) -> None:
         self.last_heard[sender_id] = self.sim.now
+        if type(message) is int:
+            # a pacing report: the sibling reached boundary ``message``
+            if message > self.sibling_progress[sender_id]:
+                self.sibling_progress[sender_id] = message
+            self._wake_progress_waiters()
+            return
         kind = message[0]
         if kind == "proposal":
-            _, pkt_seq, replica_id, proposed_virt = message
+            _, pkt_seq, proposed_virt = message
             if pkt_seq in self._decisions:
                 self._send_decided(sender_id, pkt_seq)
                 return
-            self._feed(pkt_seq, replica_id, proposed_virt)
-        elif kind == "progress":
-            _, replica_id, boundary = message
-            if boundary > self.sibling_progress.get(replica_id, -1):
-                self.sibling_progress[replica_id] = boundary
-            self._wake_progress_waiters()
+            self._feed(pkt_seq, sender_id, proposed_virt)
         elif kind == "epoch":
-            _, k, replica_id, duration, real_time = message
-            self._store_epoch(k, EpochSample(replica_id, duration,
+            _, k, duration, real_time = message
+            self._store_epoch(k, EpochSample(sender_id, duration,
                                              real_time))
         elif kind == "heartbeat":
             pass  # the last_heard update above is the whole point
         elif kind == "rejoin":
-            replica_id = message[1]
-            floor = message[2] if len(message) > 2 else None
-            self._mark_rejoined(replica_id, floor)
+            floor = message[1] if len(message) > 1 else None
+            self._mark_rejoined(sender_id, floor)
         else:
             raise ValueError(f"unknown coordination message kind {kind!r}")

@@ -245,6 +245,10 @@ class TestBenchRunCommand:
          "scenarios"),
         ("storage.repair", ("objects=0",), "objects"),
         ("storage.repair", ("object_size=0",), "object_size"),
+        ("mitigation.frontier", ("duration=1", "workload=bogus"),
+         "workload"),
+        ("kernel.scale0", ("duration=0.5", "repeats=1"), "tenants"),
+        ("kernel.scale4", ("request_rate=-1",), "request_rate"),
     ], ids=["scale-duration", "storm-duration", "storm-duration-nan",
             "repair-duration-nan", "frontier-duration",
             "storm-duration-str", "frontier-duration-bool",
@@ -257,7 +261,8 @@ class TestBenchRunCommand:
             "frontier-seeds-zero", "storm-scenarios-empty",
             "frontier-policies-empty", "frontier-attacks-empty",
             "storm-scenario-unknown", "repair-objects-zero",
-            "repair-object-size-zero"])
+            "repair-object-size-zero", "frontier-workload-unknown",
+            "scale-tenants-zero", "scale-rate-negative"])
     def test_bad_value_exits_2_before_any_cell_runs(
             self, tmp_path, capsys, monkeypatch, name, sets, field):
         """A value of the wrong type for the cell default it replaces,

@@ -5,6 +5,7 @@ import pytest
 from repro.cloud import Cloud
 from repro.core import PASSTHROUGH
 from repro.net import UdpStack
+from repro.net.network import RealtimeNode
 from repro.sim import Simulator
 from repro.workloads import EchoServer
 
@@ -19,6 +20,18 @@ class TestClientPort:
         client.schedule(0.5, fired.append, 1)
         sim.run()
         assert fired == [1]
+
+    def test_is_the_node_that_owns_its_wan_links(self):
+        """No proxy: the port is the client's node, under the address
+        and RNG stream name the node would have on its own."""
+        sim = Simulator(seed=1)
+        cloud = Cloud(sim, machines=3, config=PASSTHROUGH)
+        client = cloud.add_client("c:1")
+        assert isinstance(client, RealtimeNode)
+        assert client.address == client.name == "c:1"
+        assert client.rng is sim.rng.stream("node.c:1")
+        assert (client.uplink.name, client.downlink.name) == (
+            "wan.up.c:1", "wan.down.c:1")
 
     def test_wan_latency_applies_both_ways(self):
         sim = Simulator(seed=1)
