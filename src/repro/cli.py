@@ -335,17 +335,21 @@ def cmd_scale(args) -> None:
 
     if args.profile_out and not args.profile:
         raise SystemExit("--profile-out requires --profile")
-    if args.spec:
-        specs = [ScenarioSpec.from_file(args.spec)]
-        if args.shards is not None:
-            specs[0].shards = args.shards
-    else:
-        workload_params = _parse_set(args.workload_param)
-        specs = [build_scale_spec(
-            tenants, shards=args.shards or 1, workload=args.workload,
-            clients_per_tenant=args.clients, request_rate=args.rate,
-            machines=args.machines, workload_params=workload_params)
-            for tenants in args.tenants]
+    try:
+        if args.spec:
+            specs = [ScenarioSpec.from_file(args.spec)]
+            if args.shards is not None:
+                specs[0].shards = args.shards
+        else:
+            workload_params = _parse_set(args.workload_param)
+            specs = [build_scale_spec(
+                tenants, shards=args.shards or 1, workload=args.workload,
+                clients_per_tenant=args.clients, request_rate=args.rate,
+                machines=args.machines, workload_params=workload_params)
+                for tenants in args.tenants]
+    except (OSError, ValueError) as exc:    # a bad scenario or spec file
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     rows = [run_scale_cell(spec, duration=args.duration, seed=args.seed,
                            profile=args.profile) for spec in specs]
 

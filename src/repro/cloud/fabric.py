@@ -17,9 +17,8 @@ the single replica's dom0, and guest output leaves directly.
 Placement (Sec. VIII): when ``hosts=`` is omitted on a mediated
 3-replica VM, the fabric asks a :class:`~repro.placement.scheduler.
 PlacementScheduler` for the VM's replica *triangle*, so any two VMs
-co-reside on at most one machine.  Pass ``placer=None`` to restore the
-legacy hosts ``0..r-1`` behaviour, or pass your own scheduler for
-strict operator-controlled placement (a full cluster then raises
+co-reside on at most one machine.  Pass your own scheduler for strict
+operator-controlled placement (a full cluster then raises
 :class:`~repro.placement.scheduler.PlacementError` instead of falling
 back).  Explicit ``hosts=`` always bypasses the placer.
 
@@ -66,10 +65,6 @@ class ReplicatedVM:
     recorders: Dict[int, object] = field(default_factory=dict)
     #: the mitigation policy this VM's timing runs under
     policy: Optional[MitigationPolicy] = None
-    #: declared cpu/disk/net demand weights
-    #: (:class:`repro.workloads.registry.ResourceProfile`), read by the
-    #: placement utilisation report; purely descriptive
-    resource_profile: Optional[object] = None
 
     @property
     def address(self) -> str:
@@ -108,7 +103,6 @@ class Cloud:
 
     def __init__(self, sim, machines: int = 3,
                  config: StopWatchConfig = DEFAULT,
-                 internal_bandwidth: float = 1e9,
                  host_kwargs: Optional[dict] = None,
                  shards: int = 1,
                  placer="auto",
@@ -131,7 +125,7 @@ class Cloud:
         self.network = Network(sim, default_link_kwargs={
             "latency": config.internal_latency,
             "jitter": config.internal_latency * config.internal_jitter,
-            "bandwidth": internal_bandwidth,
+            "bandwidth": 1e9,
         })
         self.hosts: List[Host] = [
             Host(sim, i, self.network, **(host_kwargs or {}))
@@ -165,20 +159,15 @@ class Cloud:
         #: tenant's repair daemon reconstructing at-risk shares
         self.replica_listeners: List[Callable] = []
         self._started = False
-        if placer == "auto":
-            self._placer_mode = "auto"
-            self._placer: Optional[PlacementScheduler] = None
-        elif placer is None:
-            self._placer_mode = "off"
-            self._placer = None
-        else:
-            self._placer_mode = "strict"
-            self._placer = placer
-            placer_machines = getattr(placer, "machines", machines)
-            if placer_machines != machines:
-                raise ValueError(
-                    f"placer covers {placer_machines} machines but the "
-                    f"fleet has {machines}")
+        # "auto" builds a scheduler when it first places a VM; a
+        # caller-supplied scheduler places strictly
+        self._strict = placer != "auto"
+        self._placer: Optional[PlacementScheduler] = \
+            placer if self._strict else None
+        if self._strict and placer.machines != machines:
+            raise ValueError(
+                f"placer covers {placer.machines} machines but the "
+                f"fleet has {machines}")
 
     # ------------------------------------------------------------------
     # edge shards
@@ -233,9 +222,7 @@ class Cloud:
         return self._placer
 
     def _resolve_placer(self, replica_count: int):
-        if self._placer_mode == "off":
-            return None
-        if self._placer_mode == "strict":
+        if self._strict:
             if replica_count != 3:
                 raise ValueError(
                     f"placement triangles need exactly 3 replicas, the "
@@ -259,7 +246,7 @@ class Cloud:
         try:
             triangle = placer.place(name)
         except PlacementError:
-            if self._placer_mode == "strict":
+            if self._strict:
                 raise
             # auto mode degrades to the legacy single-tenant wiring so
             # small ad-hoc clouds keep working past the triangle pool
@@ -278,7 +265,7 @@ class Cloud:
     def create_vm(self, name: str,
                   workload_factory: Optional[Callable] = None,
                   hosts: Optional[Sequence[int]] = None,
-                  policy=None, profile=None) -> ReplicatedVM:
+                  policy=None) -> ReplicatedVM:
         """Deploy a guest VM (replicated per the config).
 
         ``workload_factory(guest_os)`` is called once per replica and must
@@ -330,8 +317,7 @@ class Cloud:
 
         vm = ReplicatedVM(name=name, hosts=hosts, vmms=vmms, shard=shard,
                           workload_factory=workload_factory,
-                          workload_seed=workload_seed, policy=vm_policy,
-                          resource_profile=profile)
+                          workload_seed=workload_seed, policy=vm_policy)
         self.vms[name] = vm
 
         if vm_policy.coordinated and replica_count > 1:
@@ -409,34 +395,6 @@ class Cloud:
             on_loss=lambda seq, v=vmm: self._ingress_loss(v, seq),
             start_seq=start_seq)
         return receiver
-
-    def resource_load(self) -> Dict[int, Dict[str, float]]:
-        """Per-host declared resource demand: each live replica adds
-        its VM's normalized :class:`ResourceProfile` weights.  Purely
-        observational (drives the ``repro workloads``/placement
-        utilisation reports); VMs deployed without a profile count as
-        replicas but add no weight."""
-        report: Dict[int, Dict[str, float]] = {
-            host.host_id: {"cpu": 0.0, "disk": 0.0, "net": 0.0,
-                           "replicas": 0}
-            for host in self.hosts}
-        for vm in self.vms.values():
-            profile = vm.resource_profile
-            weights = profile.normalized() if profile is not None \
-                else None
-            for vmm in vm.vmms:
-                if vmm.failed:
-                    continue
-                row = report[vmm.host.host_id]
-                row["replicas"] += 1
-                if weights is not None:
-                    row["cpu"] += weights[0]
-                    row["disk"] += weights[1]
-                    row["net"] += weights[2]
-        for row in report.values():
-            for axis in ("cpu", "disk", "net"):
-                row[axis] = round(row[axis], 9)
-        return report
 
     # ------------------------------------------------------------------
     # failure propagation (coordination layer -> fabric -> egress)

@@ -431,8 +431,7 @@ class CloudBuilder:
                         placer.place_at(vm_name, tenant.hosts[vm_index])
                     cloud.create_vm(vm_name, server_factory,
                                     hosts=list(tenant.hosts[vm_index]),
-                                    policy=vm_policy,
-                                    profile=wspec.profile)
+                                    policy=vm_policy)
                 elif replica_count != 3:
                     # non-triangle (single-replica policy) VMs bypass
                     # the triangle placer: spread them round-robin,
@@ -441,12 +440,10 @@ class CloudBuilder:
                             for i in range(replica_count)]
                     loose_slot += replica_count
                     cloud.create_vm(vm_name, server_factory,
-                                    hosts=pins, policy=vm_policy,
-                                    profile=wspec.profile)
+                                    hosts=pins, policy=vm_policy)
                 else:
                     cloud.create_vm(vm_name, server_factory,
-                                    policy=vm_policy,
-                                    profile=wspec.profile)
+                                    policy=vm_policy)
                 if wspec.scope != "vm":
                     continue
                 for slot in range(tenant.clients):

@@ -23,16 +23,14 @@ class InjectionError(RuntimeError):
 class FaultInjector:
     """Applies a fault schedule to a :class:`~repro.cloud.fabric.Cloud`."""
 
-    def __init__(self, cloud, schedule: FaultSchedule,
-                 record_for_recovery: bool = True):
+    def __init__(self, cloud, schedule: FaultSchedule):
         self.cloud = cloud
         self.sim = cloud.sim
         self.schedule = schedule
         self.applied = []
         self._armed = False
         self._link_originals: Dict[Tuple[Optional[str], str], tuple] = {}
-        if record_for_recovery:
-            self._attach_recorders()
+        self._attach_recorders()
 
     def _attach_recorders(self) -> None:
         """Give every mediated replica an injection-schedule recorder, so

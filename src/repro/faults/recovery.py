@@ -81,8 +81,8 @@ def rejoin_replica(cloud, vm_name: str, replica_id: int) -> ReplayEngine:
     if survivor_id is None:
         raise RecoveryError(
             f"{vm_name} r{replica_id}: no live survivor with a recorded "
-            f"injection schedule (was the fault injector armed with "
-            f"record_for_recovery?)")
+            f"injection schedule (a FaultInjector records only the VMs "
+            f"that exist when it is built)")
     recording = vm.recorders[survivor_id].recording
 
     if not host.alive:

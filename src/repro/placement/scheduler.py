@@ -169,46 +169,6 @@ def fleet_for(vms: int, capacity: Optional[int] = None,
         f"no fleet of <= {max_machines} machines holds {vms} VMs")
 
 
-def resource_report(scheduler: PlacementScheduler,
-                    profiles: Dict[str, object]) -> Dict[int, Dict[str, float]]:
-    """Planning-time per-machine resource pressure from the placement.
-
-    ``profiles`` maps a placed VM id to its registry-declared
-    :class:`~repro.workloads.registry.ResourceProfile`; every machine in
-    that VM's triangle carries one replica, so the whole (normalized)
-    profile lands on each of the three machines.  Returns, per machine::
-
-        {"cpu": ..., "disk": ..., "net": ..., "replicas": ...,
-         "dominant": "cpu" | "disk" | "net" | None}
-
-    This is the *declared* counterpart of the live
-    :meth:`repro.cloud.fabric.Cloud.resource_load` view -- usable before
-    a fabric exists, e.g. to compare candidate placements.  VMs without
-    a profile entry (or with ``None``) count toward ``replicas`` only.
-    """
-    report = {machine: {"cpu": 0.0, "disk": 0.0, "net": 0.0,
-                        "replicas": 0, "dominant": None}
-              for machine in range(scheduler.machines)}
-    for vm_id, triangle in scheduler.assignments.items():
-        profile = profiles.get(vm_id)
-        weights = profile.normalized() if profile is not None else None
-        for machine in triangle:
-            row = report[machine]
-            row["replicas"] += 1
-            if weights is not None:
-                row["cpu"] += weights[0]
-                row["disk"] += weights[1]
-                row["net"] += weights[2]
-    for row in report.values():
-        for axis in ("cpu", "disk", "net"):
-            row[axis] = round(row[axis], 9)
-        peak = max(row["cpu"], row["disk"], row["net"])
-        if peak > 0.0:
-            row["dominant"] = next(axis for axis in ("cpu", "disk", "net")
-                                   if row[axis] == peak)
-    return report
-
-
 class UtilizationReport(NamedTuple):
     """Sec. VIII comparison for one (n, c) point."""
 

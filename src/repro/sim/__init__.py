@@ -14,16 +14,11 @@ The public surface mirrors what the rest of the library needs:
 - :class:`RngRegistry` -- named, seeded random streams.
 - :class:`Trace` -- an in-memory event recorder used by the experiment
   harnesses.
-
-What is left of a generator-process library is :class:`Process`: a
-numeric yield sleeps through ``call_after``, and nothing interrupts a
-wait.  No simulation component uses it.
 """
 
 from repro.sim.errors import SimulationError, ProcessFailed
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator, ScheduledCall
-from repro.sim.process import Process
 from repro.sim.rng import RngRegistry, derive_root_seed
 from repro.sim.monitor import (Trace, TraceRecord, MetricSet, Histogram,
                                JsonlSink, CategoryFilter, category_matches)
@@ -31,7 +26,6 @@ from repro.sim.monitor import (Trace, TraceRecord, MetricSet, Histogram,
 __all__ = [
     "Simulator",
     "ScheduledCall",
-    "Process",
     "Event",
     "RngRegistry",
     "derive_root_seed",

@@ -1,7 +1,7 @@
 """Waitables: one-shot events.
 
-A *waitable* is anything a callback may ``add_callback`` to (or a
-generator process may ``yield``).  The contract is small:
+A *waitable* is anything a callback may ``add_callback`` to.  The
+contract is small:
 
 - ``add_callback(fn)`` -- call ``fn(waitable)`` once triggered (immediately
   if already triggered);
@@ -17,7 +17,7 @@ from repro.sim.errors import SimulationError
 
 
 class Event:
-    """A one-shot event that processes can wait on.
+    """A one-shot event that callbacks can wait on.
 
     Trigger with :meth:`trigger` (success) or :meth:`fail` (propagates the
     exception into every waiter).  Triggering twice is an error; this

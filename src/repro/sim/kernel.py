@@ -264,14 +264,8 @@ class Simulator:
         return wheel
 
     # ------------------------------------------------------------------
-    # processes and waitables
+    # events
     # ------------------------------------------------------------------
-    def process(self, generator, name: Optional[str] = None):
-        """Start a generator as a :class:`~repro.sim.process.Process`."""
-        from repro.sim.process import Process
-
-        return Process(self, generator, name=name)
-
     def event(self):
         """Return a fresh, untriggered :class:`~repro.sim.events.Event`."""
         return Event(self)

@@ -4,9 +4,7 @@ Every workload the simulator can deploy is described by one
 :class:`WorkloadSpec`: how to build the guest-side server for a VM
 replica, how to build the client-side load driver, which params it
 accepts (with defaults), and a declared :class:`ResourceProfile`
-(cpu/disk/net weights) that the placer's utilisation report and the
-profiler-facing analysis layers can read without instantiating
-anything.
+(cpu/disk/net weights) that ``repro workloads`` prints.
 
 The scenario layer (:mod:`repro.cloud.scenario`) resolves tenants
 exclusively through :func:`get`; adding a workload is one
@@ -67,10 +65,8 @@ class UnknownWorkloadError(KeyError):
 class ResourceProfile:
     """Declared cpu/disk/net demand weights for one workload.
 
-    Weights are relative (any non-negative scale); :meth:`normalized`
-    maps them onto the unit simplex for cross-workload comparison and
-    :meth:`dominant` names the heaviest axis -- what the placement
-    utilisation report aggregates per host.
+    Weights are relative (any non-negative scale, at least one
+    positive); they describe a workload and change no simulated timing.
     """
 
     cpu: float = 1.0
@@ -82,18 +78,6 @@ class ResourceProfile:
             raise ValueError(f"negative resource weight in {self}")
         if self.cpu + self.disk + self.net <= 0:
             raise ValueError("resource profile needs a positive weight")
-
-    def normalized(self) -> Tuple[float, float, float]:
-        total = self.cpu + self.disk + self.net
-        return (self.cpu / total, self.disk / total, self.net / total)
-
-    def dominant(self) -> str:
-        cpu, disk, net = self.normalized()
-        best = max(cpu, disk, net)
-        for name, value in (("cpu", cpu), ("disk", disk), ("net", net)):
-            if value == best:
-                return name
-        return "cpu"            # pragma: no cover - unreachable
 
     def as_dict(self) -> Dict[str, float]:
         return {"cpu": self.cpu, "disk": self.disk, "net": self.net}

@@ -117,6 +117,26 @@ class TestFlagChecks:
         assert capsys.readouterr().err.startswith(
             "error: argument --restart-at: restart_replica at t=1.0")
 
+    @pytest.mark.parametrize("argv", [
+        ["--machines", "2"],
+        ["--workload", "bogus"],
+        ["--workload-param", "bogus=1"],
+        ["--workload", "storage", "--tenants", "2"],
+        ["--spec", "missing.toml"],
+    ], ids=["machines", "workload", "workload-param", "storage-count",
+            "spec-file"])
+    def test_scale_bad_scenario_exits_2(self, argv, monkeypatch, tmp_path,
+                                        capsys):
+        # the spec refuses it before any cell runs: one line, no traceback
+        monkeypatch.setattr("repro.analysis.scale.run_scale_cell",
+                            never_called)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["scale", *argv])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_scale_profile_out_needs_profile(self, monkeypatch, tmp_path):
         monkeypatch.setattr("repro.analysis.scale.run_scale_cell",
                             never_called)
@@ -148,9 +168,18 @@ class TestExecution:
 
     def test_workloads_json(self, capsys):
         assert main(["workloads", "--json"]) == 0
-        names = [spec["name"]
-                 for spec in json.loads(capsys.readouterr().out)]
-        assert "echo" in names and "storage" in names
+        specs = {spec["name"]: spec
+                 for spec in json.loads(capsys.readouterr().out)}
+        assert "echo" in specs and "storage" in specs
+        for spec in specs.values():
+            assert set(spec["profile"]) == {"cpu", "disk", "net"}
+
+        def heaviest(name):
+            profile = specs[name]["profile"]
+            return max(profile, key=profile.get)
+
+        assert heaviest("storage") == "disk"
+        assert heaviest("parsec.ferret") == "cpu"
 
     def test_storage_json(self, capsys):
         assert main(["bench", "run", "--benchmark", "storage.repair",

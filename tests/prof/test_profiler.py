@@ -12,7 +12,7 @@ from repro.sim.kernel import Simulator
 class TestSubsystemOf:
     @pytest.mark.parametrize("module,expected", [
         ("repro.sim.kernel", "kernel"),
-        ("repro.sim.process", "kernel"),
+        ("repro.sim.events", "kernel"),
         ("repro.net.link", "net"),
         ("repro.net.pgm", "pgm"),
         ("repro.vmm.coordination", "vmm-coordination"),

@@ -225,7 +225,7 @@ def test_nested_scheduling_during_run():
 
 def test_package_exports_exactly_the_kernel_surface():
     assert sorted(repro.sim.__all__) == sorted([
-        "Simulator", "ScheduledCall", "Process", "Event", "RngRegistry",
+        "Simulator", "ScheduledCall", "Event", "RngRegistry",
         "derive_root_seed", "Trace", "TraceRecord", "MetricSet",
         "Histogram", "JsonlSink", "CategoryFilter", "category_matches",
         "SimulationError", "ProcessFailed"])
@@ -242,4 +242,4 @@ def test_importing_the_package_loads_only_its_own_modules():
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["repro.sim"] + [
         f"repro.sim.{name}" for name in
-        ("errors", "events", "kernel", "monitor", "process", "rng")]
+        ("errors", "events", "kernel", "monitor", "rng")]

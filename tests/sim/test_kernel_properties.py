@@ -51,15 +51,17 @@ class TestSchedulingProperties:
     @given(st.integers(1, 30))
     @settings(max_examples=20, deadline=None)
     def test_process_chain_conserves_time(self, steps):
-        """A process sleeping `steps` unit delays ends at exactly t=steps."""
+        """A chain of `steps` unit `call_after` delays ends at exactly
+        t=steps."""
         sim = Simulator()
         done = []
 
-        def body():
-            for _ in range(steps):
-                yield 1.0
-            done.append(sim.now)
+        def step(left):
+            if left:
+                sim.call_after(1.0, step, left - 1)
+            else:
+                done.append(sim.now)
 
-        sim.process(body())
+        step(steps)
         sim.run()
         assert done == [float(steps)]

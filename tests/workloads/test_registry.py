@@ -101,60 +101,8 @@ class TestWorkloadSpec:
 
 
 class TestResourceProfile:
-    def test_normalized_sums_to_one(self):
-        cpu, disk, net = ResourceProfile(cpu=2.0, disk=1.0,
-                                         net=1.0).normalized()
-        assert abs(cpu + disk + net - 1.0) < 1e-9
-        assert cpu == pytest.approx(0.5)
-
-    def test_dominant_axis(self):
-        assert registry.get("storage").profile.dominant() == "disk"
-        assert registry.get("parsec.ferret").profile.dominant() == "cpu"
-
-    def test_profile_lands_on_fabric(self):
-        from repro.analysis.scale import build_scale_spec
-        from repro.sim.kernel import Simulator
-        from repro.sim.monitor import Trace
-
-        sim = Simulator(seed=3, trace=Trace(enabled=False))
-        built = build_scale_spec(2, workload="fileserver").build(sim)
-        for vm in built.cloud.vms.values():
-            assert vm.resource_profile is \
-                registry.get("fileserver").profile
-        load = built.cloud.resource_load()
-        occupied = [row for row in load.values() if row["replicas"]]
-        assert occupied
-        for row in occupied:
-            assert row["disk"] > 0.0
-
-
-class TestPlacementResourceReport:
-    def test_declared_pressure_per_machine(self):
-        from repro.placement.scheduler import (PlacementScheduler,
-                                               resource_report)
-
-        placer = PlacementScheduler(9, 4)
-        placer.place("web")
-        placer.place("store")
-        report = resource_report(placer, {
-            "web": registry.get("fileserver").profile,
-            "store": registry.get("storage").profile,
-        })
-        assert set(report) == set(range(9))
-        loaded = [row for row in report.values() if row["replicas"]]
-        assert len(loaded) == 6   # two disjoint triangles
-        for row in loaded:
-            assert row["dominant"] == "disk"
-            assert abs(row["cpu"] + row["disk"] + row["net"] - 1.0) < 1e-6
-
-    def test_missing_profile_counts_replicas_only(self):
-        from repro.placement.scheduler import (PlacementScheduler,
-                                               resource_report)
-
-        placer = PlacementScheduler(9, 4)
-        placer.place("anon")
-        report = resource_report(placer, {})
-        loaded = [row for row in report.values() if row["replicas"]]
-        assert len(loaded) == 3
-        for row in loaded:
-            assert row["cpu"] == 0.0 and row["dominant"] is None
+    def test_rejects_a_negative_weight_and_an_all_zero_profile(self):
+        with pytest.raises(ValueError, match="negative resource weight"):
+            ResourceProfile(cpu=1.0, disk=-0.1)
+        with pytest.raises(ValueError, match="needs a positive weight"):
+            ResourceProfile(cpu=0.0)
