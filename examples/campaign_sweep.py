@@ -23,7 +23,6 @@ def main() -> None:
         name="fig5-api-demo",
         seeds={"base": 1, "count": 4},     # SHA-256-derived seed sweep
         timeout=120.0,
-        retries=1,
         sweeps=[
             SweepSpec(
                 runner="fig5_file_download",

@@ -238,7 +238,7 @@ def _cell_once(seed: int, scenario: str, duration: float,
     trace = Trace(categories=CHAOS_CATEGORIES + ("ingress",))
     sim = Simulator(seed=seed, trace=trace, profile=profile)
     cloud, placer, pingers, run = _build_cell(sim, scenario, duration)
-    healer = EvacuationController(cloud, placer=placer)
+    healer = EvacuationController(cloud)
     storm = cell_storm(cloud, seed, duration, rate, scenario)
     injector = FaultInjector(cloud, storm)
     injector.arm()
@@ -322,12 +322,13 @@ def run_chaos_campaign(seeds: Optional[Sequence[int]] = None,
     """Sweep chaos cells across seeds x scenarios; aggregate the gates.
 
     Defaults give 7 seeds x 3 scenarios = 21 invariant-gated cells.
-    ``jobs > 1`` fans cells out across worker processes via the
-    campaign executor; results are identical either way.  With
-    ``profile=True`` each cell's primary run carries a subsystem
-    profile (persisted per cell by the executor), and the summary
-    merges them into one campaign-wide attribution.  No seeds, no
-    scenarios or an unknown scenario raise
+    ``jobs > 1`` (or ``0``, one per CPU) fans cells out across worker
+    processes via the campaign executor; results are identical either
+    way.  With ``profile=True`` each cell's primary run carries a
+    subsystem profile (persisted per cell by the executor), and the
+    summary merges them into one campaign-wide attribution.  No seeds, no
+    scenarios, an unknown scenario or a ``timeout`` that is not a
+    finite number > 0 (the campaign spec's check) raise
     :class:`~repro.core.errors.BadOverride` before any cell runs.
     """
     from repro.campaign.executor import CampaignExecutor
@@ -354,7 +355,7 @@ def run_chaos_campaign(seeds: Optional[Sequence[int]] = None,
         seeds=list(seeds),
         timeout=timeout)
     executor = CampaignExecutor(spec, cache=None, jobs=jobs,
-                                inline=jobs <= 1, progress=progress)
+                                progress=progress)
     return summarize_chaos_campaign(executor.run())
 
 

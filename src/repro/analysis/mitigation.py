@@ -87,9 +87,10 @@ def mitigation_frontier(policies: Sequence[str] = POLICY_NAMES,
                         progress=None) -> dict:
     """Sweep policies x attacks x seeds through the campaign executor
     and aggregate the leakage-vs-overhead frontier.  An empty or
-    unknown policy or attack list, an unknown victim workload, or no
-    seeds, raise :class:`~repro.core.errors.BadOverride` before any
-    cell runs."""
+    unknown policy or attack list, an unknown victim workload, no
+    seeds, or a ``timeout`` that is not a finite number > 0 (the
+    campaign spec's check), raise
+    :class:`~repro.core.errors.BadOverride` before any cell runs."""
     from repro.attacks.probes import VICTIM_WORKLOADS
     from repro.campaign.executor import CampaignExecutor
     from repro.campaign.spec import CampaignSpec, SweepSpec
@@ -112,7 +113,7 @@ def mitigation_frontier(policies: Sequence[str] = POLICY_NAMES,
         seeds=list(seeds),
         timeout=timeout)
     executor = CampaignExecutor(spec, cache=None, jobs=jobs,
-                                inline=jobs <= 1, progress=progress)
+                                progress=progress)
     return summarize_frontier(executor.run())
 
 

@@ -107,7 +107,7 @@ def _cell_once(seed: int, duration: float, k: int, n: int,
                               objects=objects)
     built = spec.build(sim)
     cloud = built.cloud
-    healer = EvacuationController(cloud, placer=built.placer)
+    healer = EvacuationController(cloud)
     driver = built.drivers[("store", 0)]
     targets = [f"vm:{name}" for name in built.tenant_vms["store"]]
     repair_node = cloud.add_client("client:repair.0")

@@ -17,8 +17,9 @@ regression; ``--gate`` additionally fails when there is no comparable
 history at all (a gate that silently checks nothing).  ``run`` also
 exits non-zero when the cell's own gate fails (the entry's ``ok`` is
 false), and exits 2 with one ``error:`` line, appending nothing, on an
-unknown benchmark, a bad ``--set`` key or a value that a runner's
-parameter check rejects before anything is simulated (a
+unknown benchmark, a ``--set`` that is not ``key=value``, a bad
+``--set`` key or a value that a runner's parameter check rejects
+before anything is simulated (a
 :class:`~repro.core.errors.BadOverride`); any other error keeps its
 traceback.
 """
@@ -46,12 +47,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _parse_set(pairs: Optional[Sequence[str]]) -> Dict[str, Any]:
+def _parse_set(pairs: Optional[Sequence[str]],
+               flag: str = "--set") -> Dict[str, Any]:
+    """``key=value`` flags as a dict; a pair without ``=`` or a key
+    raises :class:`~repro.core.errors.BadOverride` naming ``flag``."""
+    from repro.core.errors import BadOverride
+
     overrides: Dict[str, Any] = {}
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(f"--set expects key=value, got {pair!r}")
+            raise BadOverride(f"{flag} expects key=value, got {pair!r}")
         overrides[key] = _parse_value(value)
     return overrides
 

@@ -90,7 +90,7 @@ CELLS: Dict[str, Cell] = {
     "chaos.storm": Cell(
         "repro.analysis.chaos:run_chaos_campaign",
         params={"seeds": 2, "seed_base": 101, "scenarios": ("single",),
-                "duration": 3.0, "rate": 1.2, "jobs": 1},
+                "duration": 6.0, "rate": 1.2, "jobs": 1},
         metrics="repro.analysis.chaos:chaos_metrics", primary="replies",
         report="repro.analysis.chaos:chaos_report"),
     "mitigation.frontier": Cell(

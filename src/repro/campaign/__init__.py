@@ -4,12 +4,13 @@ Turns the one-shot runners in :mod:`repro.analysis.experiments` into
 declarative campaigns: a :class:`CampaignSpec` (TOML/JSON/Python)
 describes a runner, a parameter grid and a seed sweep; the
 :class:`CampaignExecutor` fans the expanded cells out over a process
-pool with per-task timeouts, bounded retries and graceful failure
-recording; the :class:`ResultCache` content-addresses every completed
-cell so interrupted or re-run campaigns execute only missing work; and
-:class:`ResultStore` aggregates rows across seeds into the same table
-format the benchmark artifacts use.  The ``repro campaign`` CLI wires
-it all together.
+pool and runs each deterministic cell once, with a per-task timeout,
+a crash blamed only on the cell that kills a worker alone, and every
+failure recorded; the :class:`ResultCache` content-addresses every
+completed cell so interrupted or re-run campaigns execute only missing
+work; and :class:`ResultStore` aggregates rows across seeds into the
+same table format the benchmark artifacts use.  The ``repro campaign``
+CLI wires it all together.
 """
 
 from repro.campaign.spec import (CampaignError, CampaignSpec, SweepSpec,

@@ -64,7 +64,7 @@ class ResultCache:
     A record is a plain dict::
 
         {"runner": ..., "params": {...}, "seed": ..., "status": "ok",
-         "value": <normalized result>, "duration": 1.23, "attempts": 1,
+         "value": <normalized result>, "duration": 1.23,
          "fingerprint": ...}
 
     ``get`` returns ``None`` for missing keys and for records whose

@@ -2,8 +2,8 @@
 
 ::
 
-    repro campaign run       SPEC [--jobs N] [--timeout S] [--retries N]
-                                  [--no-cache] [--state-dir D] [--quiet]
+    repro campaign run       SPEC [--jobs N] [--timeout S] [--no-cache]
+                                  [--state-dir D] [--quiet]
                                   [--expect-all-cached]
     repro campaign resume    SPEC [same flags; requires prior state]
     repro campaign status    SPEC [--state-dir D]
@@ -28,13 +28,14 @@ from repro.campaign.executor import (CampaignExecutor, CampaignReport,
                                      CellResult)
 from repro.campaign.results import ResultStore
 from repro.campaign.spec import CampaignError, CampaignSpec
+from repro.core.errors import BadOverride
 from repro.ioutil import atomic_write_json, atomic_write_text
 
 
 def _load_spec(args) -> CampaignSpec:
     try:
         return CampaignSpec.from_file(args.spec)
-    except (OSError, CampaignError) as exc:
+    except (OSError, CampaignError, BadOverride) as exc:
         raise SystemExit(f"error: cannot load spec {args.spec}: {exc}")
 
 
@@ -67,8 +68,7 @@ def _print_report(spec: CampaignSpec, report: CampaignReport,
         print(f"\n({skipped} cells returned non-tabular results and "
               f"were not aggregated; see the cache records.)")
     for failure in report.failures:
-        print(f"\nFAILED {failure.cell.label()} "
-              f"[{failure.status}, {failure.attempts} attempts]: "
+        print(f"\nFAILED {failure.cell.label()} [{failure.status}]: "
               f"{failure.error}")
 
 
@@ -97,7 +97,6 @@ def _execute(args, require_state: bool) -> None:
     progress = None if args.quiet else print
     executor = CampaignExecutor(
         spec, cache, jobs=args.jobs, timeout=args.timeout,
-        retries=args.retries,
         manifest_path=os.path.join(state, "manifest.jsonl"),
         progress=progress)
     report = executor.run()
@@ -170,7 +169,6 @@ def cmd_campaign_aggregate(args) -> None:
         store.add(CellResult(cell=cell, status="ok",
                              value=record.get("value"),
                              duration=record.get("duration", 0.0),
-                             attempts=record.get("attempts", 1),
                              cached=True,
                              metrics=record.get("metrics")))
     if len(store) == 0:
@@ -191,6 +189,8 @@ def cmd_campaign_aggregate(args) -> None:
 def add_campaign_parser(subparsers) -> None:
     """Register ``campaign`` and its nested subcommands on the main
     ``repro`` parser."""
+    from repro.cli import _positive_float
+
     campaign = subparsers.add_parser(
         "campaign", help="parallel, resumable experiment campaigns "
                          "with result caching")
@@ -205,12 +205,10 @@ def add_campaign_parser(subparsers) -> None:
         if not execution:
             return
         p.add_argument("--jobs", type=int, default=0,
-                       help="worker processes (0 = one per CPU)")
-        p.add_argument("--timeout", type=float, default=None,
+                       help="worker processes (0 = one per CPU, "
+                            "1 = run cells in this process)")
+        p.add_argument("--timeout", type=_positive_float, default=None,
                        help="per-cell timeout seconds "
-                            "(default: from the spec)")
-        p.add_argument("--retries", type=int, default=None,
-                       help="retry budget per cell "
                             "(default: from the spec)")
         p.add_argument("--no-cache", action="store_true",
                        help="execute every cell, read/write no cache")

@@ -1,26 +1,31 @@
-"""Parallel, fault-tolerant campaign execution.
+"""Parallel campaign execution: each cell runs once.
 
-The scheduler fans cells out over a ``ProcessPoolExecutor`` with at
-most ``jobs`` tasks in flight (lazy submission, so a submitted task is
-executing, not queueing -- which is what makes parent-side hang
-detection meaningful).  Failure semantics:
+Every cell is a seeded, deterministic simulation, so running it again
+would only repeat its outcome.  The executor runs each cell once and
+records what happened:
 
 - **exception in a runner** -- the worker catches it and returns a
   ``failed`` record with the traceback; the campaign continues.
-- **timeout** -- enforced *inside* the worker via ``SIGALRM``
-  (interrupts pure-Python runners reliably); a parent-side backstop
-  catches truly hung workers by recycling the pool.
-- **worker crash** (segfault, OOM-kill) -- surfaces as
-  ``BrokenProcessPool``; the pool is rebuilt with fresh workers and the
-  in-flight cells are charged one attempt each.
-- **bounded retries** -- every failed/timed-out/crashed cell is
-  resubmitted until its attempt budget (``retries + 1``) is spent; the
-  final record keeps the last error.
+- **timeout** -- enforced *inside* the worker via ``SIGALRM``, which
+  interrupts a pure-Python runner at once and a long C call as soon as
+  it returns; the record reads ``timeout``.
+- **worker crash** (segfault, OOM-kill) -- a dead worker breaks the
+  whole pool, which then cannot say whose cell killed it.  Nothing more
+  is submitted: each cell that was in flight re-runs alone on a fresh
+  one-worker pool, only a cell that kills its solo worker too is
+  ``crashed``, and the queue continues on a fresh pool.  No cell runs
+  more than twice, and no sibling is blamed for a crash it did not
+  cause.
+
+``jobs == 1`` runs the cells in this process, one after another;
+``jobs > 1`` fans them out over a ``ProcessPoolExecutor`` with at most
+``jobs`` in flight (lazy submission, so a submitted cell is an
+executing one -- which is what "in flight at a crash" means).
 
 Completed cells are written to the :class:`~repro.campaign.cache.ResultCache`
 and appended to the campaign manifest as they finish, so an interrupted
 campaign resumes from exactly the missing cells.  The orchestrator
-records its own lifecycle into the PR-1 observability layer: a
+records its own lifecycle into the observability layer: a
 ``campaign.*`` :class:`~repro.sim.monitor.Trace` (wall-clock times) and
 a :class:`~repro.sim.monitor.MetricSet` of task counters/durations.
 """
@@ -31,19 +36,20 @@ import signal
 import threading
 import time
 import traceback
+from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                CancelledError, ProcessPoolExecutor, wait)
+                                ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.spec import CampaignSpec, TaskCell, resolve_runner
 from repro.ioutil import append_jsonl
 from repro.sim.monitor import MetricSet, Trace
 
-#: extra parent-side wall time granted beyond the in-worker timeout
-#: before a worker is declared hung and the pool recycled
-HANG_GRACE = 5.0
+#: the record of a cell whose solo worker died too
+CRASHED = {"status": "crashed", "value": None, "duration": 0.0,
+           "error": "the worker process died running this cell alone"}
 
 
 class TaskTimeout(Exception):
@@ -126,7 +132,6 @@ class CellResult:
     value: Any = None
     error: Optional[str] = None
     duration: float = 0.0
-    attempts: int = 1
     cached: bool = False
     #: the runner's MetricSet.snapshot(), when it returned one (a dict
     #: value with a "metrics" key) -- persisted through cache and
@@ -146,7 +151,7 @@ class CellResult:
         return {"runner": self.cell.runner, "params": self.cell.params,
                 "seed": self.cell.seed, "status": self.status,
                 "value": self.value, "error": self.error,
-                "duration": self.duration, "attempts": self.attempts,
+                "duration": self.duration,
                 "metrics": self.metrics, "profile": self.profile}
 
 
@@ -183,14 +188,12 @@ class CampaignReport:
         return self.executed / self.wall_seconds
 
     def summary_rows(self) -> List[tuple]:
-        retries = self.metrics.counters.get("retries", 0)
         return [
             ("cells", len(self.results)),
             ("executed", self.executed),
             ("cache hits", self.cache_hits),
             ("cache hit rate", f"{100.0 * self.hit_rate:.1f}%"),
             ("failed", len(self.failures)),
-            ("retries", retries),
             ("wall seconds", self.wall_seconds),
             ("tasks/sec", self.tasks_per_second),
         ]
@@ -199,29 +202,26 @@ class CampaignReport:
 class CampaignExecutor:
     """Schedule a :class:`CampaignSpec` across worker processes.
 
-    ``jobs <= 0`` means one worker per CPU.  ``inline=True`` bypasses
-    the process pool entirely (sequential, in-process) -- useful for
-    tests and debugging; crash isolation is lost but exception/timeout
-    handling is identical.
+    ``jobs <= 0`` means one worker per CPU.  ``jobs == 1`` runs every
+    cell in this process: exception and timeout handling are the same,
+    but a cell that kills its process ends the campaign.
     """
 
     def __init__(self, spec: CampaignSpec, cache: Optional[ResultCache],
                  jobs: int = 1, timeout: Optional[float] = None,
-                 retries: Optional[int] = None, inline: bool = False,
                  manifest_path: Optional[str] = None,
                  progress: Optional[Callable[[str], None]] = None):
         self.spec = spec
         self.cache = cache
         self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
         self.timeout = timeout if timeout is not None else spec.timeout
-        self.retries = retries if retries is not None else spec.retries
-        self.inline = inline
         self.manifest_path = manifest_path
         self.progress = progress
         self.trace = Trace()
         self.metrics = MetricSet()
         self._t0 = 0.0
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._cells: List[TaskCell] = []
+        self._results: Dict[int, CellResult] = {}
 
     # -- plumbing ------------------------------------------------------
     def _now(self) -> float:
@@ -234,43 +234,27 @@ class CampaignExecutor:
         if self.progress is not None:
             self.progress(message)
 
-    def _payload(self, cell: TaskCell) -> Dict[str, Any]:
+    def _payload(self, index: int) -> Dict[str, Any]:
+        cell = self._cells[index]
         return {"runner": cell.runner, "params": cell.params,
                 "seed": cell.seed, "seed_param": cell.seed_param,
                 "timeout": self.timeout}
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
-
-    def _recycle_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        # shutdown() alone never kills a *running* worker, so a hung
-        # task would stall the campaign forever; terminate the worker
-        # processes so their futures fail over to the BrokenExecutor /
-        # CancelledError paths in the collection loop.
-        for proc in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
+    def _start(self, index: int) -> None:
+        cell = self._cells[index]
+        self._emit("campaign.task.start", runner=cell.runner,
+                   seed=cell.seed)
 
     # -- bookkeeping for finished cells --------------------------------
-    def _finish(self, index: int, cell: TaskCell, outcome: Dict[str, Any],
-                attempts: int, results: Dict[int, CellResult],
-                done_count: List[int], total: int) -> None:
+    def _finish(self, index: int, outcome: Dict[str, Any]) -> None:
+        cell = self._cells[index]
         result = CellResult(cell=cell, status=outcome["status"],
                             value=outcome.get("value"),
                             error=outcome.get("error"),
                             duration=outcome.get("duration", 0.0),
-                            attempts=attempts, cached=False,
                             metrics=outcome.get("metrics"),
                             profile=outcome.get("profile"))
-        results[index] = result
+        self._results[index] = result
         key = None
         if self.cache is not None:
             key = self.cache.key(cell)
@@ -282,168 +266,106 @@ class CampaignExecutor:
                 "key": key, "runner": cell.runner, "seed": cell.seed,
                 "params": cell.params, "status": result.status,
                 "cached": False, "duration": result.duration,
-                "attempts": attempts, "metrics": result.metrics,
-                "profile": result.profile})
+                "metrics": result.metrics, "profile": result.profile})
         self.metrics.incr("executed")
         self.metrics.incr(result.status)
         self.metrics.observe("task.duration", result.duration)
         category = ("campaign.task.done" if result.ok
                     else "campaign.task.failed")
         self._emit(category, runner=cell.runner, seed=cell.seed,
-                   status=result.status, duration=result.duration,
-                   attempts=attempts)
-        done_count[0] += 1
-        state = result.status if not result.ok else "ok"
-        self._say(f"[{done_count[0]}/{total}] {cell.label()} -- {state} "
-                  f"in {result.duration:.2f}s"
-                  + (f" ({attempts} attempts)" if attempts > 1 else ""))
-
-    def _retry(self, cell: TaskCell, attempts: int, status: str) -> None:
-        self.metrics.incr("retries")
-        self._emit("campaign.task.retry", runner=cell.runner,
-                   seed=cell.seed, status=status, attempt=attempts + 1)
-        self._say(f"retry {cell.label()} after {status} "
-                  f"(attempt {attempts + 1}/{self.retries + 1})")
+                   status=result.status, duration=result.duration)
+        self._say(f"[{len(self._results)}/{len(self._cells)}] "
+                  f"{cell.label()} -- {result.status} "
+                  f"in {result.duration:.2f}s")
 
     # -- the run -------------------------------------------------------
     def run(self) -> CampaignReport:
         self._t0 = time.monotonic()
-        cells = self.spec.expand()
-        total = len(cells)
-        self.metrics.incr("cells", total)
-        results: Dict[int, CellResult] = {}
-        done_count = [0]
-        pending: List[int] = []
+        self._cells = cells = self.spec.expand()
+        self._results = {}
+        self.metrics.incr("cells", len(cells))
+        pending: Deque[int] = deque()
 
         for index, cell in enumerate(cells):
             record = (self.cache.get(self.cache.key(cell))
                       if self.cache is not None else None)
             if record is not None and record.get("status") == "ok":
-                results[index] = CellResult(
+                self._results[index] = CellResult(
                     cell=cell, status="ok", value=record.get("value"),
-                    duration=record.get("duration", 0.0),
-                    attempts=record.get("attempts", 1), cached=True,
+                    duration=record.get("duration", 0.0), cached=True,
                     metrics=record.get("metrics"),
                     profile=record.get("profile"))
                 self.metrics.incr("cache.hits")
                 self._emit("campaign.cache.hit", runner=cell.runner,
                            seed=cell.seed)
-                done_count[0] += 1
-                self._say(f"[{done_count[0]}/{total}] {cell.label()} "
-                          f"-- cached")
+                self._say(f"[{len(self._results)}/{len(cells)}] "
+                          f"{cell.label()} -- cached")
                 if self.manifest_path is not None:
                     append_jsonl(self.manifest_path, {
                         "key": self.cache.key(cell),
                         "runner": cell.runner, "seed": cell.seed,
                         "params": cell.params, "status": "ok",
                         "cached": True,
-                        "duration": record.get("duration", 0.0),
-                        "attempts": record.get("attempts", 1)})
+                        "duration": record.get("duration", 0.0)})
             else:
                 self.metrics.incr("cache.misses")
                 pending.append(index)
 
-        if self.inline:
-            self._run_inline(cells, pending, results, done_count, total)
+        if self.jobs == 1:
+            for index in pending:
+                self._start(index)
+                self._finish(index, execute_cell(self._payload(index)))
         else:
-            self._run_pool(cells, pending, results, done_count, total)
+            self._run_pool(pending)
 
         wall = time.monotonic() - self._t0
-        ordered = [results[i] for i in sorted(results)]
+        ordered = [self._results[i] for i in sorted(self._results)]
         return CampaignReport(name=self.spec.name, results=ordered,
                               wall_seconds=wall, trace=self.trace,
                               metrics=self.metrics)
 
-    def _run_inline(self, cells, pending, results, done_count, total):
-        for index in pending:
-            cell = cells[index]
-            attempts = 0
+    def _run_pool(self, queue: Deque[int]) -> None:
+        while queue:
+            suspects = self._drain(queue, self.jobs)
+            if suspects:
+                self._say(f"a worker died: re-running the {len(suspects)} "
+                          f"cells in flight one at a time")
+            for index in sorted(suspects):
+                if self._drain(deque([index]), 1):
+                    self._finish(index, CRASHED)
+
+    def _drain(self, queue: Deque[int], workers: int) -> List[int]:
+        """Run cells off ``queue`` on a fresh pool of ``workers``
+        processes, at most ``workers`` in flight, until the queue is
+        empty or a worker dies.  Returns the cells that were in flight
+        when one died (none if none did); the rest stay queued."""
+        in_flight: Dict[Any, int] = {}      # future -> cell index
+        suspects: List[int] = []
+        broken = False
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             while True:
-                attempts += 1
-                self._emit("campaign.task.start", runner=cell.runner,
-                           seed=cell.seed, attempt=attempts)
-                outcome = execute_cell(self._payload(cell))
-                if outcome["status"] == "ok" \
-                        or attempts > self.retries:
-                    self._finish(index, cell, outcome, attempts,
-                                 results, done_count, total)
-                    break
-                self._retry(cell, attempts, outcome["status"])
-
-    def _run_pool(self, cells, pending, results, done_count, total):
-        queue = list(pending)       # indices not yet submitted
-        attempts: Dict[int, int] = {i: 0 for i in pending}
-        in_flight: Dict[Any, tuple] = {}    # future -> (index, started)
-        try:
-            while queue or in_flight:
-                while queue and len(in_flight) < self.jobs:
-                    index = queue.pop(0)
-                    cell = cells[index]
-                    attempts[index] += 1
-                    self._emit("campaign.task.start", runner=cell.runner,
-                               seed=cell.seed, attempt=attempts[index])
-                    future = self._ensure_pool().submit(
-                        execute_cell, self._payload(cell))
-                    in_flight[future] = (index, time.monotonic())
-
-                done, _ = wait(list(in_flight), timeout=0.25,
-                               return_when=FIRST_COMPLETED)
+                while queue and not broken and len(in_flight) < workers:
+                    try:
+                        future = pool.submit(execute_cell,
+                                             self._payload(queue[0]))
+                    except BrokenExecutor:  # a worker died, maybe idle
+                        broken = True
+                        break
+                    index = queue.popleft()
+                    self._start(index)
+                    in_flight[future] = index
+                if not in_flight:
+                    return suspects
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:
-                    index, _started = in_flight.pop(future)
-                    cell = cells[index]
+                    index = in_flight.pop(future)
                     try:
                         outcome = future.result()
-                    except (BrokenExecutor, OSError) as exc:
-                        # worker died; fresh workers for everyone
-                        self._recycle_pool()
-                        outcome = {"status": "crashed",
-                                   "error": repr(exc), "value": None,
-                                   "duration": 0.0}
-                    except CancelledError:
-                        # a pool recycle cancelled this queued task;
-                        # resubmit without charging an attempt
-                        attempts[index] -= 1
-                        queue.append(index)
-                        continue
-                    if outcome["status"] == "ok" \
-                            or attempts[index] > self.retries:
-                        self._finish(index, cell, outcome,
-                                     attempts[index], results,
-                                     done_count, total)
+                    except BrokenExecutor:
+                        broken = True
+                        suspects.append(index)
                     else:
-                        self._retry(cell, attempts[index],
-                                    outcome["status"])
-                        queue.append(index)
-
-                if self.timeout is not None:
-                    self._reap_hung(cells, in_flight, queue)
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-
-    def _reap_hung(self, cells, in_flight, queue) -> None:
-        """Parent-side backstop: a worker that outlived its in-worker
-        alarm by :data:`HANG_GRACE` is stuck in uninterruptible code;
-        recycle the whole pool (the only way to kill a pool worker) and
-        let the cancelled siblings resubmit for free."""
-        deadline = self.timeout + max(HANG_GRACE, 0.25 * self.timeout)
-        now = time.monotonic()
-        hung = [future for future, (_i, started) in in_flight.items()
-                if not future.done() and now - started > deadline]
-        if not hung:
-            return
-        self._recycle_pool()
-        # hung cells come back through the CancelledError/BrokenExecutor
-        # paths above with their attempt already charged; nothing else
-        # to do here -- but trace the event so the summary explains the
-        # stall.
-        for future in hung:
-            index, started = in_flight[future]
-            cell = cells[index]
-            self._emit("campaign.task.hung", runner=cell.runner,
-                       seed=cell.seed, ran_for=now - started)
-            self.metrics.incr("hung")
+                        self._finish(index, outcome)
 
 
 def run_campaign(spec: CampaignSpec, cache: Optional[ResultCache] = None,

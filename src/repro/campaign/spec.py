@@ -6,7 +6,6 @@ Specs load from TOML or JSON files or are built in Python::
 
     name = "fig5-sweep"
     timeout = 120.0
-    retries = 1
     seeds = { base = 1, count = 8 }     # or seeds = [1, 2, 3]
 
     [[sweep]]
@@ -31,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench.registry import (UnknownBenchmark, cell_names, load,
                                   lookup, runner_accepts)
+from repro.core.errors import check_number
 from repro.sim.rng import derive_root_seed
 
 
@@ -178,13 +178,14 @@ class SweepSpec:
 
 @dataclass
 class CampaignSpec:
-    """A named collection of sweeps plus execution defaults."""
+    """A named collection of sweeps plus a seed sweep and a per-cell
+    ``timeout`` (seconds, or ``None`` for none); a timeout that is not a
+    finite number > 0 raises :class:`~repro.core.errors.BadOverride`."""
 
     name: str
     sweeps: List[SweepSpec]
     seeds: List[int] = field(default_factory=lambda: [0])
     timeout: Optional[float] = 300.0
-    retries: int = 1
 
     def __post_init__(self) -> None:
         if not self.name or "/" in self.name:
@@ -193,10 +194,8 @@ class CampaignSpec:
             self.seeds = _resolve_seeds(self.seeds)
         if not self.sweeps:
             raise CampaignError("a campaign needs at least one sweep")
-        if self.retries < 0:
-            raise CampaignError("retries must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise CampaignError("timeout must be positive or None")
+        if self.timeout is not None:
+            check_number("timeout", self.timeout)
 
     def expand(self) -> List[TaskCell]:
         """All cells, in deterministic spec order."""
@@ -249,8 +248,7 @@ class CampaignSpec:
         seeds = _resolve_seeds(data.pop("seeds", None))
         spec = cls(name=name, sweeps=sweeps,
                    seeds=seeds if seeds is not None else [0],
-                   timeout=data.pop("timeout", 300.0),
-                   retries=int(data.pop("retries", 1)))
+                   timeout=data.pop("timeout", 300.0))
         if data:
             raise CampaignError(f"unknown spec keys {sorted(data)}")
         return spec
@@ -267,7 +265,6 @@ class CampaignSpec:
             "name": self.name,
             "seeds": list(self.seeds),
             "timeout": self.timeout,
-            "retries": self.retries,
             "sweep": [{"runner": s.runner, "params": s.params,
                        "grid": s.grid, "cells": s.cells,
                        **({"seeds": s.seeds}

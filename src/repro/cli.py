@@ -341,7 +341,8 @@ def cmd_scale(args) -> None:
             if args.shards is not None:
                 specs[0].shards = args.shards
         else:
-            workload_params = _parse_set(args.workload_param)
+            workload_params = _parse_set(args.workload_param,
+                                         "--workload-param")
             specs = [build_scale_spec(
                 tenants, shards=args.shards or 1, workload=args.workload,
                 clients_per_tenant=args.clients, request_rate=args.rate,

@@ -57,13 +57,11 @@ class EvacuationController:
     of condemned hosts and the fabric forwards replica suspicions.
     """
 
-    def __init__(self, cloud, placer=None):
+    def __init__(self, cloud):
         self.cloud = cloud
         self.sim = cloud.sim
         self.config = cloud.config
-        # scenario-built clouds carry the placer on the BuiltScenario,
-        # not the Cloud, so accept an explicit one
-        self.placer = placer if placer is not None else cloud.placer
+        self.placer = cloud.placer
         self.evacuations: List[dict] = []
         self.failures: List[dict] = []
         #: observers called as ``fn(vm_name, replica_id, mode)`` after

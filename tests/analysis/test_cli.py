@@ -56,6 +56,11 @@ class TestParser:
         (["chaos", "--crash-at", "nan", "--duration", "1"], "--crash-at"),
         (["chaos", "--crash-at", "-1"], "--crash-at"),
         (["chaos", "--replica", "9"], "--replica"),
+        (["campaign", "run", "spec.toml", "--timeout", "-1"], "--timeout"),
+        (["campaign", "run", "spec.toml", "--timeout", "0"], "--timeout"),
+        (["campaign", "run", "spec.toml", "--timeout", "nan"], "--timeout"),
+        (["campaign", "resume", "spec.toml", "--timeout", "inf"],
+         "--timeout"),
     ])
     def test_bad_numbers_exit_2_naming_the_option(self, argv, option,
                                                   capsys):
@@ -121,10 +126,11 @@ class TestFlagChecks:
         ["--machines", "2"],
         ["--workload", "bogus"],
         ["--workload-param", "bogus=1"],
+        ["--workload-param", "bogus"],
         ["--workload", "storage", "--tenants", "2"],
         ["--spec", "missing.toml"],
-    ], ids=["machines", "workload", "workload-param", "storage-count",
-            "spec-file"])
+    ], ids=["machines", "workload", "workload-param", "workload-param-pair",
+            "storage-count", "spec-file"])
     def test_scale_bad_scenario_exits_2(self, argv, monkeypatch, tmp_path,
                                         capsys):
         # the spec refuses it before any cell runs: one line, no traceback

@@ -195,7 +195,11 @@ class TestBenchRunCommand:
          ("bogus=1",), "'bogus'"),
         ("chaos.storm", "repro.analysis.chaos:run_chaos_campaign",
          ("seeds=abc",), "seeds must be an integer"),
-    ], ids=["unknown-benchmark", "unknown-key", "non-integer-seeds"])
+        ("storage.repair",
+         "repro.analysis.storage:run_storage_repair_cell",
+         ("bogus",), "error: --set expects key=value, got 'bogus'"),
+    ], ids=["unknown-benchmark", "unknown-key", "non-integer-seeds",
+            "set-without-equals"])
     def test_bad_input_exits_2_before_the_runner_starts(
             self, tmp_path, capsys, monkeypatch, name, runner, sets,
             named):
@@ -249,6 +253,13 @@ class TestBenchRunCommand:
          "workload"),
         ("kernel.scale0", ("duration=0.5", "repeats=1"), "tenants"),
         ("kernel.scale4", ("request_rate=-1",), "request_rate"),
+        ("chaos.storm", ("timeout=-1",), "timeout"),
+        ("chaos.storm", ("timeout=0",), "timeout"),
+        ("chaos.storm", ("timeout=NaN",), "timeout"),
+        ("chaos.storm", ("timeout=nan",), "timeout"),
+        ("mitigation.frontier", ("timeout=-1",), "timeout"),
+        ("mitigation.frontier", ("timeout=0",), "timeout"),
+        ("mitigation.frontier", ("timeout=NaN",), "timeout"),
     ], ids=["scale-duration", "storm-duration", "storm-duration-nan",
             "repair-duration-nan", "frontier-duration",
             "storm-duration-str", "frontier-duration-bool",
@@ -262,7 +273,11 @@ class TestBenchRunCommand:
             "frontier-policies-empty", "frontier-attacks-empty",
             "storm-scenario-unknown", "repair-objects-zero",
             "repair-object-size-zero", "frontier-workload-unknown",
-            "scale-tenants-zero", "scale-rate-negative"])
+            "scale-tenants-zero", "scale-rate-negative",
+            "storm-timeout-negative", "storm-timeout-zero",
+            "storm-timeout-nan", "storm-timeout-str",
+            "frontier-timeout-negative", "frontier-timeout-zero",
+            "frontier-timeout-nan"])
     def test_bad_value_exits_2_before_any_cell_runs(
             self, tmp_path, capsys, monkeypatch, name, sets, field):
         """A value of the wrong type for the cell default it replaces,
@@ -333,11 +348,13 @@ class TestBenchRunCommand:
         assert doc["entry"]["benchmark"] == "kernel.scale2"
         assert doc["gate"]["ok"] is True
 
-    def test_malformed_set_flag_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="key=value"):
+    def test_malformed_set_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
             run_cli("bench", "run", "--benchmark", "kernel.scale2",
                     "--set", "duration", "--output",
                     str(tmp_path / "b.json"))
+        assert err.value.code == 2
+        assert "--set expects key=value" in capsys.readouterr().err
 
     def test_failed_cell_gate_exits_nonzero(self, tmp_path, capsys,
                                             monkeypatch):
@@ -396,6 +413,14 @@ class TestCellReports:
         assert "Storage repair cell: 2-of-3 over 3 x 8192 B objects" in out
         assert "  repair: 1/1 completed" in out
         assert "  shares: min 3/3 live per object, digests verified" in out
+
+    def test_storm_registered_defaults_pass_their_gate(self, capsys):
+        # the storm's tail fits the registered duration, so the
+        # README's first chaos command passes its own liveness gate
+        assert no_write_run("chaos.storm") == 0
+        out = capsys.readouterr().out
+        assert "Invariants: PASS -- placement, liveness and hygiene held " \
+               "in all 2 cells" in out
 
     def test_chaos_invariants_and_progress(self, capsys):
         assert no_write_run("chaos.storm", *STORM_SMALL) == 0

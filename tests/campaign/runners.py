@@ -64,7 +64,7 @@ def die(seed: int = 0) -> list:
 
 def flaky(sentinel: str = "", seed: int = 0) -> list:
     """Fail on the first call, succeed once ``sentinel`` exists --
-    exercises the retry path across fresh worker invocations."""
+    exercises a resume that re-executes a failed cell."""
     if not os.path.exists(sentinel):
         with open(sentinel, "w", encoding="utf-8") as handle:
             handle.write("attempted\n")

@@ -9,7 +9,6 @@ from repro.cli import main
 SPEC_TOML = """
 name = "cli-demo"
 timeout = 30.0
-retries = 1
 seeds = [0, 1]
 
 [[sweep]]
@@ -101,7 +100,7 @@ class TestRunResumeStatus:
     def test_failing_campaign_exits_nonzero(self, tmp_path, capsys):
         pytest.importorskip("tomllib")
         path = tmp_path / "bad.toml"
-        path.write_text('name = "bad"\nretries = 0\n'
+        path.write_text('name = "bad"\n'
                         '[[sweep]]\n'
                         'runner = "tests.campaign.runners:boom"\n')
         with pytest.raises(SystemExit):

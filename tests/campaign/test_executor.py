@@ -1,5 +1,5 @@
 """Tests for the campaign scheduler: parallelism, failure handling,
-timeouts, retries, caching and resume."""
+timeouts, crash blame, caching and resume."""
 
 import os
 
@@ -14,7 +14,7 @@ RUNNERS = "tests.campaign.runners"
 
 def _spec(runner, name="t", seeds=(0,), **sweep_kwargs):
     return CampaignSpec(
-        name=name, seeds=list(seeds), timeout=20.0, retries=1,
+        name=name, seeds=list(seeds), timeout=20.0,
         sweeps=[SweepSpec(f"{RUNNERS}:{runner}", **sweep_kwargs)])
 
 
@@ -46,7 +46,7 @@ class TestInlineExecutor:
     def test_runs_all_cells_in_spec_order(self):
         spec = _spec("seeded_rows", seeds=[0, 1, 2],
                      grid={"x": [1.0, 2.0]})
-        report = run_campaign(spec, inline=True)
+        report = run_campaign(spec)
         assert len(report.results) == 6
         assert all(r.ok for r in report.results)
         assert report.executed == 6
@@ -54,28 +54,17 @@ class TestInlineExecutor:
 
     def test_failure_does_not_kill_campaign(self):
         spec = CampaignSpec(
-            name="mix", seeds=[0], timeout=20.0, retries=0,
+            name="mix", seeds=[0], timeout=20.0,
             sweeps=[SweepSpec(f"{RUNNERS}:boom"),
                     SweepSpec(f"{RUNNERS}:add_rows")])
-        report = run_campaign(spec, inline=True)
+        report = run_campaign(spec)
         statuses = [r.status for r in report.results]
         assert statuses == ["failed", "ok"]
         assert len(report.failures) == 1
         assert report.metrics.counters["failed"] == 1
 
-    def test_retry_budget_and_trace(self, tmp_path):
-        sentinel = str(tmp_path / "sentinel")
-        spec = _spec("flaky", params={"sentinel": sentinel})
-        report = run_campaign(spec, inline=True)
-        result = report.results[0]
-        assert result.ok
-        assert result.attempts == 2
-        assert report.metrics.counters["retries"] == 1
-        assert report.trace.count("campaign.task.retry") == 1
-        assert report.trace.count("campaign.task.start") == 2
-
     def test_campaign_trace_categories(self):
-        report = run_campaign(_spec("add_rows"), inline=True)
+        report = run_campaign(_spec("add_rows"))
         assert report.trace.count("campaign.task.start") == 1
         assert report.trace.count("campaign.task.done") == 1
         assert report.metrics.counters["executed"] == 1
@@ -89,10 +78,8 @@ class TestProcessPoolExecutor:
         assert all(r.ok for r in report.results)
 
     def test_worker_crash_is_contained(self):
-        # retries=1: the pool-wide break may charge the innocent
-        # sibling cell one attempt, so give everyone a second try
         spec = CampaignSpec(
-            name="crashmix", seeds=[0], timeout=20.0, retries=1,
+            name="crashmix", seeds=[0], timeout=20.0,
             sweeps=[SweepSpec(f"{RUNNERS}:die"),
                     SweepSpec(f"{RUNNERS}:add_rows")])
         report = run_campaign(spec, jobs=2)
@@ -101,12 +88,27 @@ class TestProcessPoolExecutor:
         assert by_runner["die"].status == "crashed"
         assert by_runner["add_rows"].ok
 
+    def test_crash_is_charged_only_to_the_cell_that_dies_alone(self):
+        # sleepy and die are in flight when die's worker breaks the
+        # pool: each re-runs alone, and add_rows, still queued, runs on
+        # a fresh pool -- five starts, one crash
+        spec = CampaignSpec(
+            name="blame", seeds=[0], timeout=20.0,
+            sweeps=[SweepSpec(f"{RUNNERS}:sleepy",
+                              params={"duration": 0.5}),
+                    SweepSpec(f"{RUNNERS}:die"),
+                    SweepSpec(f"{RUNNERS}:add_rows")])
+        report = run_campaign(spec, jobs=2)
+        assert [r.status for r in report.results] \
+            == ["ok", "crashed", "ok"]
+        assert report.trace.count("campaign.task.start") == 5
+
     def test_timeout_in_pool(self):
         spec = CampaignSpec(
-            name="slow", seeds=[0], timeout=0.3, retries=0,
+            name="slow", seeds=[0], timeout=0.3,
             sweeps=[SweepSpec(f"{RUNNERS}:sleepy",
                               params={"duration": 30.0})])
-        report = run_campaign(spec, jobs=1)
+        report = run_campaign(spec, jobs=2)
         assert report.results[0].status == "timeout"
 
 
@@ -114,9 +116,9 @@ class TestCacheIntegration:
     def test_second_run_is_all_hits(self, tmp_path):
         spec = _spec("seeded_rows", seeds=[0, 1], grid={"x": [1.0]})
         cache = ResultCache(str(tmp_path / "cache"), fingerprint="fp")
-        first = run_campaign(spec, cache=cache, inline=True)
+        first = run_campaign(spec, cache=cache)
         assert first.executed == 2 and first.cache_hits == 0
-        second = run_campaign(spec, cache=cache, inline=True)
+        second = run_campaign(spec, cache=cache)
         assert second.executed == 0
         assert second.cache_hits == 2
         assert second.hit_rate == 1.0
@@ -133,7 +135,7 @@ class TestCacheIntegration:
                                "params": done_cell.params, "seed": 1,
                                "timeout": None})
         cache.put(cache.key(done_cell), record)
-        report = run_campaign(spec, cache=cache, inline=True)
+        report = run_campaign(spec, cache=cache)
         assert report.cache_hits == 1
         assert report.executed == 2
         cached = [r.cell.seed for r in report.results if r.cached]
@@ -142,13 +144,13 @@ class TestCacheIntegration:
     def test_failed_records_are_reexecuted_on_resume(self, tmp_path):
         sentinel = str(tmp_path / "sentinel")
         spec = CampaignSpec(
-            name="t", seeds=[0], timeout=20.0, retries=0,
+            name="t", seeds=[0], timeout=20.0,
             sweeps=[SweepSpec(f"{RUNNERS}:flaky",
                               params={"sentinel": sentinel})])
         cache = ResultCache(str(tmp_path / "cache"), fingerprint="fp")
-        first = run_campaign(spec, cache=cache, inline=True)
+        first = run_campaign(spec, cache=cache)
         assert first.results[0].status == "failed"
-        second = run_campaign(spec, cache=cache, inline=True)
+        second = run_campaign(spec, cache=cache)
         assert second.results[0].ok
         assert second.cache_hits == 0
 
@@ -158,7 +160,7 @@ class TestCacheIntegration:
         manifest = str(tmp_path / "manifest.jsonl")
         spec = _spec("profiled_rows", seeds=[3])
         cache = ResultCache(str(tmp_path / "cache"), fingerprint="fp")
-        first = CampaignExecutor(spec, cache, inline=True,
+        first = CampaignExecutor(spec, cache,
                                  manifest_path=manifest).run()
         result = first.results[0]
         assert result.profile["subsystems"] == {"kernel": 0.3,
@@ -167,7 +169,7 @@ class TestCacheIntegration:
         rows = list(read_jsonl(manifest))
         assert rows[0]["profile"]["subsystems"]["kernel"] == 0.3
         # the profile survives a cache hit on resume
-        second = CampaignExecutor(spec, cache, inline=True).run()
+        second = CampaignExecutor(spec, cache).run()
         assert second.results[0].cached
         assert second.results[0].profile == result.profile
 
@@ -176,10 +178,8 @@ class TestCacheIntegration:
         manifest = str(tmp_path / "manifest.jsonl")
         spec = _spec("add_rows", seeds=[0, 1])
         cache = ResultCache(str(tmp_path / "cache"), fingerprint="fp")
-        CampaignExecutor(spec, cache, inline=True,
-                         manifest_path=manifest).run()
-        CampaignExecutor(spec, cache, inline=True,
-                         manifest_path=manifest).run()
+        CampaignExecutor(spec, cache, manifest_path=manifest).run()
+        CampaignExecutor(spec, cache, manifest_path=manifest).run()
         rows = list(read_jsonl(manifest))
         assert len(rows) == 4
         assert [r["cached"] for r in rows] == [False, False, True, True]

@@ -50,9 +50,9 @@ class TestRealPoolDispatch:
     @pytest.mark.parametrize("name", sorted(POOL_SAFE))
     def test_runner_executes_in_worker_process(self, name):
         spec = CampaignSpec(
-            name=f"pool-{name}", seeds=[0], timeout=60.0, retries=0,
+            name=f"pool-{name}", seeds=[0], timeout=60.0,
             sweeps=[SweepSpec(name, params=POOL_SAFE[name])])
-        report = run_campaign(spec, jobs=1)
+        report = run_campaign(spec, jobs=2)
         (result,) = report.results
         assert result.ok, result.error
         assert result.value
@@ -63,7 +63,7 @@ class TestRealPoolDispatch:
                                "params": POOL_SAFE[name], "seed": None,
                                "timeout": None})
         spec = CampaignSpec(
-            name="parity", seeds=[0], timeout=60.0, retries=0,
+            name="parity", seeds=[0], timeout=60.0,
             sweeps=[SweepSpec(name, params=POOL_SAFE[name])])
-        report = run_campaign(spec, jobs=1)
+        report = run_campaign(spec, jobs=2)
         assert report.results[0].value == inline["value"]

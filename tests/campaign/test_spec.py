@@ -11,7 +11,6 @@ from repro.sim.rng import derive_root_seed
 TOML_SPEC = """
 name = "demo"
 timeout = 60.0
-retries = 2
 seeds = { base = 1, count = 3 }
 
 [[sweep]]
@@ -33,7 +32,6 @@ class TestLoading:
         spec = CampaignSpec.from_file(str(path))
         assert spec.name == "demo"
         assert spec.timeout == 60.0
-        assert spec.retries == 2
         assert spec.seeds == [derive_root_seed(1, i) for i in range(3)]
         assert len(spec.sweeps) == 2
 
@@ -92,6 +90,14 @@ class TestValidation:
         with pytest.raises(CampaignError, match="unknown spec keys"):
             CampaignSpec.from_dict({
                 "name": "x", "bogus": 1,
+                "sweep": [{"runner": "placement_utilization"}]})
+
+    def test_retries_is_an_unknown_key(self):
+        # a deterministic cell runs once: there is no retry budget
+        with pytest.raises(CampaignError,
+                           match=r"unknown spec keys \['retries'\]"):
+            CampaignSpec.from_dict({
+                "name": "x", "retries": 1,
                 "sweep": [{"runner": "placement_utilization"}]})
 
     def test_module_path_runner_resolves(self):

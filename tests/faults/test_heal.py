@@ -30,7 +30,7 @@ def build(entries, seed=11, machines=5, load_until=3.3, trace=None):
                         spacing_fn=lambda rng: 0.040)
     sim.call_after(0.05, pinger.start)
     sim.call_after(load_until, pinger.stop)
-    healer = EvacuationController(cloud, placer=placer)
+    healer = EvacuationController(cloud)
     injector = FaultInjector(cloud, FaultSchedule.from_entries(entries))
     injector.arm()
     return sim, cloud, vm, placer, pinger, healer

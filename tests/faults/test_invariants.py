@@ -33,7 +33,7 @@ def build(entries=(), seed=23, machines=5, heal=True):
     sim.call_after(0.05, pinger.start)
     sim.call_after(LOAD_UNTIL, pinger.stop)
     if heal:
-        EvacuationController(cloud, placer=placer)
+        EvacuationController(cloud)
     if entries:
         FaultInjector(cloud, FaultSchedule.from_entries(entries)).arm()
     return sim, cloud, vm, placer, {"echo.0": pinger}
