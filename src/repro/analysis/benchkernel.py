@@ -21,12 +21,12 @@ and reports
   regression fixture for the old process-global packet-uid counter
   (warm repeats in one process used to diverge).
 
-With ``profile=True`` one extra profiled repeat runs after the timed
+With ``profile=True`` one extra sampled repeat runs after the timed
 ones (so attribution never contaminates the headline throughput); its
 egress signature must match the unprofiled runs byte-for-byte -- the
-profiler-neutrality invariant -- and its
-:class:`~repro.prof.profiler.SubsystemProfiler` summary rides in the
-report's ``"profile"`` key.
+sampler-neutrality invariant -- and its
+:class:`~repro.prof.profiler.Sampler` summary rides in the report's
+``"profile"`` key.
 
 :func:`kernel_metrics` picks the report keys a trajectory entry
 records; :mod:`repro.bench.registry` does the rest.
@@ -118,7 +118,7 @@ def run_kernel_bench(tenants: int = 32,
             raise BenchError(
                 f"profiling perturbed the egress signature: "
                 f"{profiled['egress_signature']} != "
-                f"{best['egress_signature']} -- the profiler must be "
+                f"{best['egress_signature']} -- the sampler must be "
                 f"measurement-only")
         report["profile"] = profiled["profile"]
     return report

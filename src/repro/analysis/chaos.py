@@ -28,7 +28,8 @@ through the campaign executor.
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import (first_divergence, percentile,
-                                   replay_verdict, trace_signature)
+                                   replay_verdict, sampled,
+                                   trace_signature)
 from repro.core.config import RESILIENT
 from repro.core.errors import check_choices, check_number
 from repro.faults import FaultInjector, FaultSchedule
@@ -229,22 +230,20 @@ def cell_storm(cloud, seed: int, duration: float,
 def _cell_once(seed: int, scenario: str, duration: float,
                rate: float, profile: bool = False) -> Tuple[dict, List[Tuple]]:
     """One storm run; returns (plain-data result, trace signature)."""
-    import time as _time
-
     from repro.faults.heal import EvacuationController
     from repro.faults.invariants import check_all
 
-    cell_started = _time.perf_counter()
     trace = Trace(categories=CHAOS_CATEGORIES + ("ingress",))
-    sim = Simulator(seed=seed, trace=trace, profile=profile)
-    cloud, placer, pingers, run = _build_cell(sim, scenario, duration)
-    healer = EvacuationController(cloud)
-    storm = cell_storm(cloud, seed, duration, rate, scenario)
-    injector = FaultInjector(cloud, storm)
-    injector.arm()
-    run()
-    violations = check_all(cloud, placer, pingers,
-                           client_stop=duration - CELL_DRAIN)
+    sim = Simulator(seed=seed, trace=trace)
+    with sampled(sim, profile) as sampler:
+        cloud, placer, pingers, run = _build_cell(sim, scenario, duration)
+        healer = EvacuationController(cloud)
+        storm = cell_storm(cloud, seed, duration, rate, scenario)
+        injector = FaultInjector(cloud, storm)
+        injector.arm()
+        run()
+        violations = check_all(cloud, placer, pingers,
+                               client_stop=duration - CELL_DRAIN)
     completes = list(trace.iter_records("heal.complete"))
     result = {
         "seed": seed,
@@ -267,10 +266,8 @@ def _cell_once(seed: int, scenario: str, duration: float,
         "client_retries": sum(getattr(p, "retries", 0)
                               for p in pingers.values()),
     }
-    if profile and sim.profiler is not None:
-        result["profile"] = sim.profiler.summary(
-            loop_seconds=sim.wall_seconds,
-            total_seconds=_time.perf_counter() - cell_started,
+    if sampler is not None:
+        result["profile"] = sampler.summary(
             release_times=trace.times("egress.release"))
     return result, chaos_signature(trace)
 
@@ -295,10 +292,10 @@ def run_chaos_cell(seed: int = 7, scenario: str = "single",
     fault/recovery/heal/release signature is byte-identical.  Returns
     plain data; ``ok`` is the single pass/fail gate.
 
-    With ``profile=True`` the primary run is profiled (the determinism
-    replay never is) and the cell carries a ``"profile"`` subsystem
+    With ``profile=True`` the primary run is sampled (the determinism
+    replay never is) and the cell carries a ``"profile"`` layer
     summary; the signature comparison then doubles as the
-    profiler-neutrality check -- a profiled run and its unprofiled
+    sampler-neutrality check -- a sampled run and its unsampled
     replay must produce identical fault/heal/release records.
     """
     _check_cell(duration, rate)
@@ -325,7 +322,7 @@ def run_chaos_campaign(seeds: Optional[Sequence[int]] = None,
     ``jobs > 1`` (or ``0``, one per CPU) fans cells out across worker
     processes via the campaign executor; results are identical either
     way.  With ``profile=True`` each cell's primary run carries a
-    subsystem profile (persisted per cell by the executor), and the
+    layer profile (persisted per cell by the executor), and the
     summary merges them into one campaign-wide attribution.  No seeds, no
     scenarios, an unknown scenario or a ``timeout`` that is not a
     finite number > 0 (the campaign spec's check) raise

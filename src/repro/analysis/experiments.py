@@ -303,7 +303,7 @@ def delta_offset_translation(duration: float = 10.0,
     and ~8-15 ms respectively) on the Sec. VII-A echo+compute cloud."""
     from repro.analysis.observe import mediation_delays, run_observed_workload
 
-    sim, _ = run_observed_workload(
+    sim, _, _ = run_observed_workload(
         duration=duration, seed=seed,
         categories=("ingress.replicate", "vmm.deliver", "vmm.disk.request"),
         max_per_category=TRACE_CAP)

@@ -93,7 +93,7 @@ def flow_stage_latency(duration: float = 2.0, seed: int = 5) -> dict:
     run.  The ``rows`` are the stage table; ``metrics`` is the full
     :meth:`~repro.sim.monitor.MetricSet.snapshot` that the campaign
     executor persists into the manifest for cross-seed rollups."""
-    sim, _ = run_observed_workload(duration=duration, seed=seed, flows=True)
+    sim = run_observed_workload(duration=duration, seed=seed, flows=True)[0]
     rows = [list(row) for row in flow_stage_rows(sim.flows)]
     return {"rows": rows,
             "metrics": stage_metrics(sim.flows).snapshot()}

@@ -13,7 +13,7 @@ counters, the mediation delays behind the Sec. VII-A table
 import contextlib
 from typing import Iterable, List, Optional, Tuple
 
-from repro.analysis.report import summarize
+from repro.analysis.report import sampled, summarize
 from repro.core.config import DEFAULT
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import JsonlSink, Trace, TraceRecord
@@ -25,10 +25,13 @@ def run_observed_workload(duration: float = 2.0, seed: int = 5,
                           profile: bool = False,
                           jsonl_path: Optional[str] = None,
                           flows: bool = False,
-                          ) -> Tuple[Simulator, Optional[JsonlSink]]:
+                          ) -> Tuple[Simulator, Optional[JsonlSink],
+                                     Optional[dict]]:
     """Run the echo+compute cloud with tracing enabled; returns the
-    simulator (trace attached) and the streaming sink, if one was
-    requested.  ``flows=True`` also turns on causal span/flow tracking
+    simulator (trace attached), the streaming sink, if one was
+    requested, and with ``profile=True`` the run's
+    :class:`~repro.prof.profiler.Sampler` summary (else ``None``).
+    ``flows=True`` also turns on causal span/flow tracking
     (``sim.flows``)."""
     from repro.analysis.experiments import PERF_HOST_KWARGS
     from repro.cloud.fabric import Cloud
@@ -41,19 +44,22 @@ def run_observed_workload(duration: float = 2.0, seed: int = 5,
     # its previous content
     with (JsonlSink(jsonl_path, trace) if jsonl_path
           else contextlib.nullcontext()) as sink:
-        sim = Simulator(seed=seed, trace=trace, profile=profile)
+        sim = Simulator(seed=seed, trace=trace)
         if flows:
             sim.flows.enable()
-        cloud = Cloud(sim, machines=3, config=DEFAULT,
-                      host_kwargs=PERF_HOST_KWARGS)
-        cloud.create_vm("echo", EchoServer)
-        cloud.create_vm("compute", lambda guest: BlackScholes(guest),
-                        hosts=[0, 1, 2])
-        client = cloud.add_client("client:1")
-        pinger = PingClient(client, "vm:echo", mean_interval=0.015)
-        sim.call_after(0.05, pinger.start)
-        cloud.run(until=duration)
-    return sim, sink
+        with sampled(sim, profile) as sampler:
+            cloud = Cloud(sim, machines=3, config=DEFAULT,
+                          host_kwargs=PERF_HOST_KWARGS)
+            cloud.create_vm("echo", EchoServer)
+            cloud.create_vm("compute", lambda guest: BlackScholes(guest),
+                            hosts=[0, 1, 2])
+            client = cloud.add_client("client:1")
+            pinger = PingClient(client, "vm:echo", mean_interval=0.015)
+            sim.call_after(0.05, pinger.start)
+            cloud.run(until=duration)
+    profile = None if sampler is None else sampler.summary(
+        release_times=trace.times("egress.release"))
+    return sim, sink, profile
 
 
 def trace_category_rows(trace: Trace) -> list:

@@ -1,6 +1,7 @@
 """Plain-text table rendering and small summaries for experiment
 output."""
 
+import contextlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.monitor import MetricSet, Trace
@@ -108,3 +109,14 @@ def replay_verdict(signature: Sequence,
     return {"signature_records": len(signature),
             "deterministic": None if replay is None else divergence is None,
             "divergence": divergence}
+
+
+def sampled(sim, profile: bool):
+    """A :class:`~repro.prof.profiler.Sampler` on ``sim`` when
+    ``profile``, else a null context (which yields ``None``); an
+    unprofiled cell loads no :mod:`repro.prof` module."""
+    if not profile:
+        return contextlib.nullcontext()
+    from repro.prof.profiler import Sampler
+
+    return Sampler(sim)

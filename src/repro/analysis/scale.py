@@ -23,7 +23,7 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.report import percentile
+from repro.analysis.report import percentile, sampled
 from repro.cloud.scenario import ScenarioSpec, TenantSpec
 from repro.core.errors import check_number
 from repro.sim.kernel import Simulator
@@ -84,60 +84,56 @@ def run_scale_cell(spec: ScenarioSpec, duration: float = 4.0,
     """Run one scenario and report throughput + verification verdicts.
 
     With ``profile=True`` the row carries a ``"profile"`` key: the
-    :class:`~repro.prof.profiler.SubsystemProfiler` summary for the
-    whole cell (build + run + verification), with releases folded into
-    the sim-time timeline.  Profiling is measurement-only -- the egress
+    :class:`~repro.prof.profiler.Sampler` summary for the whole cell
+    (build + run + verification), with releases folded into the
+    sim-time timeline.  Sampling is measurement-only -- the egress
     signature is byte-identical either way (gated in CI).
     """
-    import time as _time
-
     check_number("duration", duration)
-    cell_started = _time.perf_counter()
-    sim = Simulator(seed=seed, profile=profile, trace=Trace(
+    sim = Simulator(seed=seed, trace=Trace(
         categories=SCALE_TRACE_CATEGORIES, max_per_category=TRACE_CAP))
-    sim.flows.enable()
-    built = spec.build(sim)
-    built.run(until=duration)
+    with sampled(sim, profile) as sampler:
+        sim.flows.enable()
+        built = spec.build(sim)
+        built.run(until=duration)
 
-    outputs_consistent = True
-    per_tenant = {}
-    try:
-        per_tenant = built.per_tenant_outputs()
-    except AssertionError:
-        outputs_consistent = False
+        outputs_consistent = True
+        per_tenant = {}
+        try:
+            per_tenant = built.per_tenant_outputs()
+        except AssertionError:
+            outputs_consistent = False
 
-    delays = [flow.end_to_end for flow in sim.flows.flows.values()
-              if flow.released is not None]
-    stats = sim.stats()
-    machines, _ = spec.resolved_fleet()
-    released = built.cloud.packets_released
-    row: Dict[str, object] = {
-        "scenario": spec.name,
-        "tenants": spec.total_vms,
-        "machines": machines,
-        "capacity": built.placer.capacity,
-        "shards": spec.shards,
-        "duration": duration,
-        "seed": seed,
-        "events_fired": stats["events_fired"],
-        "events_per_second": stats["events_per_second"],
-        "wall_seconds": stats["wall_seconds"],
-        "heap_high_water": stats["heap_high_water"],
-        "packets_replicated": built.cloud.packets_replicated,
-        "packets_released": released,
-        "releases_per_sim_second": released / duration,
-        "mediation_p50": percentile(delays, 50) if delays else 0.0,
-        "mediation_p95": percentile(delays, 95) if delays else 0.0,
-        "mediated_flows": len(delays),
-        "placement_verified": built.verify_placement(),
-        "outputs_consistent": outputs_consistent,
-        "per_tenant_outputs": per_tenant,
-        "egress_signature": egress_signature(sim),
-    }
-    if profile and sim.profiler is not None:
-        row["profile"] = sim.profiler.summary(
-            loop_seconds=stats["wall_seconds"],
-            total_seconds=_time.perf_counter() - cell_started,
+        delays = [flow.end_to_end for flow in sim.flows.flows.values()
+                  if flow.released is not None]
+        stats = sim.stats()
+        machines, _ = spec.resolved_fleet()
+        released = built.cloud.packets_released
+        row: Dict[str, object] = {
+            "scenario": spec.name,
+            "tenants": spec.total_vms,
+            "machines": machines,
+            "capacity": built.placer.capacity,
+            "shards": spec.shards,
+            "duration": duration,
+            "seed": seed,
+            "events_fired": stats["events_fired"],
+            "events_per_second": stats["events_per_second"],
+            "wall_seconds": stats["wall_seconds"],
+            "heap_high_water": stats["heap_high_water"],
+            "packets_replicated": built.cloud.packets_replicated,
+            "packets_released": released,
+            "releases_per_sim_second": released / duration,
+            "mediation_p50": percentile(delays, 50) if delays else 0.0,
+            "mediation_p95": percentile(delays, 95) if delays else 0.0,
+            "mediated_flows": len(delays),
+            "placement_verified": built.verify_placement(),
+            "outputs_consistent": outputs_consistent,
+            "per_tenant_outputs": per_tenant,
+            "egress_signature": egress_signature(sim),
+        }
+    if sampler is not None:
+        row["profile"] = sampler.summary(
             release_times=sim.trace.times("egress.release"))
     return row
 

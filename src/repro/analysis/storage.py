@@ -27,7 +27,8 @@ the suite.
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.report import replay_verdict, trace_signature
+from repro.analysis.report import (replay_verdict, sampled,
+                                   trace_signature)
 from repro.core.errors import BadOverride, check_count, check_number
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.kernel import Simulator
@@ -94,51 +95,49 @@ def _cell_once(seed: int, duration: float, k: int, n: int,
                object_size: int, objects: int, crash_at: float,
                profile: bool = False) -> Tuple[dict, List[Tuple]]:
     """One storage-repair run; returns (plain result, signature)."""
-    import time as _time
-
     from repro.faults.heal import EvacuationController
     from repro.faults.invariants import check_all
     from repro.workloads.storage import RepairDaemon, share_digest
 
-    cell_started = _time.perf_counter()
     trace = Trace(categories=STORAGE_CATEGORIES)
-    sim = Simulator(seed=seed, trace=trace, profile=profile)
-    spec = build_storage_spec(k=k, n=n, object_size=object_size,
-                              objects=objects)
-    built = spec.build(sim)
-    cloud = built.cloud
-    healer = EvacuationController(cloud)
-    driver = built.drivers[("store", 0)]
-    targets = [f"vm:{name}" for name in built.tenant_vms["store"]]
-    repair_node = cloud.add_client("client:repair.0")
-    daemon = RepairDaemon(cloud, repair_node, targets, driver.client,
-                          k=k, n=n).attach()
+    sim = Simulator(seed=seed, trace=trace)
+    with sampled(sim, profile) as sampler:
+        spec = build_storage_spec(k=k, n=n, object_size=object_size,
+                                  objects=objects)
+        built = spec.build(sim)
+        cloud = built.cloud
+        healer = EvacuationController(cloud)
+        driver = built.drivers[("store", 0)]
+        targets = [f"vm:{name}" for name in built.tenant_vms["store"]]
+        repair_node = cloud.add_client("client:repair.0")
+        daemon = RepairDaemon(cloud, repair_node, targets, driver.client,
+                              k=k, n=n).attach()
 
-    # condemn the host carrying share 0's first replica: the storage
-    # equivalent of losing one disk shelf
-    victim_host = cloud.vms[built.tenant_vms["store"][0]].hosts[0]
-    schedule = FaultSchedule.from_entries([
-        (crash_at, "crash_host", f"host:{victim_host}")])
-    injector = FaultInjector(cloud, schedule)
-    injector.arm()
+        # condemn the host carrying share 0's first replica: the storage
+        # equivalent of losing one disk shelf
+        victim_host = cloud.vms[built.tenant_vms["store"][0]].hosts[0]
+        schedule = FaultSchedule.from_entries([
+            (crash_at, "crash_host", f"host:{victim_host}")])
+        injector = FaultInjector(cloud, schedule)
+        injector.arm()
 
-    built.run(until=duration, drain=CELL_DRAIN)
+        built.run(until=duration, drain=CELL_DRAIN)
 
-    shares_live = live_share_report(built)
-    directory = driver.client.directory
-    codec = driver.client.codec
-    shares_verified = all(
-        share_digest(workload.shares[obj][1])
-        == directory[obj]["digests"][workload.shares[obj][0]]
-        for vm_name in built.tenant_vms["store"]
-        for replica_id, workload in enumerate(
-            cloud.vms[vm_name].workloads)
-        if not cloud.vms[vm_name].vmms[replica_id].failed
-        for obj in workload.shares if obj in directory)
-    violations = check_all(cloud, built.placer,
-                           {"store.0": driver},
-                           client_stop=duration - CELL_DRAIN,
-                           clients=2)
+        shares_live = live_share_report(built)
+        directory = driver.client.directory
+        codec = driver.client.codec
+        shares_verified = all(
+            share_digest(workload.shares[obj][1])
+            == directory[obj]["digests"][workload.shares[obj][0]]
+            for vm_name in built.tenant_vms["store"]
+            for replica_id, workload in enumerate(
+                cloud.vms[vm_name].workloads)
+            if not cloud.vms[vm_name].vmms[replica_id].failed
+            for obj in workload.shares if obj in directory)
+        violations = check_all(cloud, built.placer,
+                               {"store.0": driver},
+                               client_stop=duration - CELL_DRAIN,
+                               clients=2)
     result = {
         "seed": seed,
         "duration": duration,
@@ -170,10 +169,8 @@ def _cell_once(seed: int, duration: float, k: int, n: int,
         "shares_verified": bool(shares_verified),
         "violations": [str(v) for v in violations],
     }
-    if profile and sim.profiler is not None:
-        result["profile"] = sim.profiler.summary(
-            loop_seconds=sim.wall_seconds,
-            total_seconds=_time.perf_counter() - cell_started,
+    if sampler is not None:
+        result["profile"] = sampler.summary(
             release_times=trace.times("egress.release"))
     return result, trace_signature(trace, SIGNATURE_PREFIXES)
 

@@ -18,8 +18,9 @@ history at all (a gate that silently checks nothing).  ``run`` also
 exits non-zero when the cell's own gate fails (the entry's ``ok`` is
 false), and exits 2 with one ``error:`` line, appending nothing, on an
 unknown benchmark, a ``--set`` that is not ``key=value``, a bad
-``--set`` key or a value that a runner's parameter check rejects
-before anything is simulated (a
+``--set`` key, a ``--profile`` the benchmark's runner cannot take,
+``--profile-out`` without ``--profile`` or a value that a runner's
+parameter check rejects before anything is simulated (a
 :class:`~repro.core.errors.BadOverride`); any other error keeps its
 traceback.
 """
@@ -62,23 +63,38 @@ def _parse_set(pairs: Optional[Sequence[str]],
     return overrides
 
 
+def check_profile_out(args) -> None:
+    """``--profile-out`` needs ``--profile`` (``bench run``, ``scale``)."""
+    from repro.core.errors import BadOverride
+
+    if args.profile_out and not args.profile:
+        raise BadOverride("--profile-out requires --profile")
+
+
 def profile_lines(profile: Dict[str, Any], top: int = 8) -> List[str]:
-    """Printable subsystem-attribution report for one profile summary."""
+    """Printable layer-attribution report for one profile summary."""
     from repro.analysis import format_table
 
-    lines = ["Subsystem CPU attribution:"]
-    total = sum(profile.get("subsystems", {}).values()) or 1.0
-    lines.append(format_table(
-        ["subsystem", "seconds", "share"],
-        [(name, f"{seconds:.4f}", f"{100.0 * seconds / total:.1f}%")
-         for name, seconds in profile.get("subsystems", {}).items()]))
-    hottest = profile.get("hottest", ())[:top]
+    total = profile["total_seconds"]
+    errors = profile["share_errors"]
+    lines = [f"Layer CPU attribution ({profile['samples']} samples over "
+             f"{total:.3f} CPU s; share ± one standard error):",
+             format_table(
+                 ["layer", "seconds", "share", "± se"],
+                 [(name, f"{seconds:.4f}",
+                   f"{100.0 * seconds / total if total else 0.0:.1f}%",
+                   f"{100.0 * errors[name]:.1f}" if name in errors
+                   else "n/a")
+                  for name, seconds in profile["subsystems"].items()])]
+    hottest = profile["hottest"][:top]
     if hottest:
-        lines.append(f"Hottest callbacks (top {len(hottest)}):")
+        lines.append(f"Hottest callbacks (top {len(hottest)}, innermost "
+                     f"sampled frame):")
         lines.append(format_table(
-            ["subsystem", "callback", "calls", "seconds"],
-            [(row["subsystem"], row["callback"], row["calls"],
-              f"{row['seconds']:.4f}") for row in hottest]))
+            ["layer", "function", "samples", "seconds"],
+            [(row["subsystem"], f"{row['module']}.{row['callback']}",
+              row["samples"], f"{row['seconds']:.4f}")
+             for row in hottest]))
     return lines
 
 
@@ -109,21 +125,15 @@ def cmd_bench_run(args) -> None:
     from repro.bench.registry import load
 
     try:
-        cell, kwargs, config = bench_plan(args.benchmark,
-                                          _parse_set(args.set))
+        check_profile_out(args)
+        cell, kwargs, config = bench_plan(
+            args.benchmark, _parse_set(args.set), profile=args.profile)
     except (UnknownBenchmark, BadOverride) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         raise SystemExit(2)
     runner = cell.resolve()
-    takes = inspect.signature(runner).parameters
-    if args.profile_out and not args.profile:
-        raise SystemExit("--profile-out requires --profile")
-    if args.profile_out and "profile" not in takes:
-        raise SystemExit(f"--profile-out: benchmark {args.benchmark!r} "
-                         f"takes no --profile")
-    if args.profile and "profile" in takes:
-        kwargs["profile"] = True
-    if "progress" in takes and not args.json:
+    if "progress" in inspect.signature(runner).parameters \
+            and not args.json:
         kwargs["progress"] = print
     try:
         result = runner(**kwargs)
@@ -267,7 +277,7 @@ def add_bench_parser(sub) -> None:
     r.add_argument("--no-write", action="store_true",
                    help="measure and gate only; append nothing")
     r.add_argument("--profile", action="store_true",
-                   help="attach a subsystem CPU profile to the entry "
+                   help="attach a sampled layer CPU profile to the entry "
                         "(measurement-only; never changes metrics)")
     r.add_argument("--profile-out", default=None, metavar="JSON",
                    help="also write the profile as speedscope JSON")

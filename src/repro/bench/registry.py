@@ -171,16 +171,18 @@ def _check_type(key: str, default: Any, value: Any) -> None:
 
 
 def bench_plan(benchmark: str,
-               overrides: Optional[Dict[str, Any]] = None
+               overrides: Optional[Dict[str, Any]] = None,
+               profile: bool = False
                ) -> Tuple[Cell, Dict[str, Any], Dict[str, Any]]:
     """A benchmark's cell, its runner kwargs and its entry config.
 
     Overrides replace defaults; a comma-separated string replaces a
     tuple default.  An override must name a cell param or a runner
     parameter, and fit the type of the default it replaces (see
-    :func:`_check_type`).  The config is every resolved param except
-    :data:`MEASUREMENT_KEYS`, taken before ``seed_base`` expands into
-    the ``seeds`` list.
+    :func:`_check_type`).  ``profile`` asks a runner that takes a
+    ``profile`` parameter for one, and is refused for any other.  The
+    config is every resolved param except :data:`MEASUREMENT_KEYS`,
+    taken before ``seed_base`` expands into the ``seeds`` list.
     """
     cell, params = lookup(benchmark)
     if cell.metrics is None:
@@ -207,6 +209,10 @@ def bench_plan(benchmark: str,
         base = params.pop("seed_base")
         params["seeds"] = [derive_root_seed(base, i) for i in
                            range(params["seeds"])]
+    if profile:
+        if not runner_accepts(cell.resolve(), "profile"):
+            raise BadOverride(f"{benchmark!r} takes no --profile")
+        params["profile"] = True
     return cell, params, config
 
 
@@ -230,9 +236,7 @@ def run_benchmark(benchmark: str, label: str = "head",
                   overrides: Optional[Dict[str, Any]] = None
                   ) -> Dict[str, Any]:
     """Run the named benchmark and return its trajectory entry."""
-    cell, kwargs, config = bench_plan(benchmark, overrides)
-    runner = cell.resolve()
-    if profile and "profile" in inspect.signature(runner).parameters:
-        kwargs["profile"] = True
-    return cell_entry(benchmark, runner(**kwargs), config=config,
+    cell, kwargs, config = bench_plan(benchmark, overrides,
+                                      profile=profile)
+    return cell_entry(benchmark, cell.resolve()(**kwargs), config=config,
                       label=label)

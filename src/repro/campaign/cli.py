@@ -20,6 +20,7 @@ Campaign state lives under ``<state-dir>/<campaign name>/``::
 """
 
 import os
+import sys
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
@@ -33,10 +34,14 @@ from repro.ioutil import atomic_write_json, atomic_write_text
 
 
 def _load_spec(args) -> CampaignSpec:
+    """The spec at ``args.spec``; one ``error:`` line and exit 2 when it
+    cannot be read or checked."""
     try:
         return CampaignSpec.from_file(args.spec)
     except (OSError, CampaignError, BadOverride) as exc:
-        raise SystemExit(f"error: cannot load spec {args.spec}: {exc}")
+        print(f"error: cannot load spec {args.spec}: {exc}",
+              file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _state_dir(args, spec: CampaignSpec) -> str:

@@ -137,7 +137,7 @@ class CellResult:
     #: value with a "metrics" key) -- persisted through cache and
     #: manifest for cross-seed rollups
     metrics: Optional[Dict[str, Any]] = None
-    #: the runner's repro.prof subsystem summary, when it returned one
+    #: the runner's repro.prof layer summary, when it returned one
     #: (a dict value with a "profile" key) -- persisted alongside
     #: metrics so profiled campaigns survive cache hits and resume
     profile: Optional[Dict[str, Any]] = None

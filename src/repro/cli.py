@@ -191,8 +191,6 @@ def cmd_collab(args) -> None:
 
 
 def cmd_observe(args) -> None:
-    import time as _time
-
     from repro.analysis import format_table
     from repro.analysis.flows import (flow_detail_rows, flow_stage_rows,
                                       flow_summary, slowest_flow_rows)
@@ -202,12 +200,10 @@ def cmd_observe(args) -> None:
 
     categories = ([c for c in args.categories.split(",") if c]
                   if args.categories else None)
-    started = _time.perf_counter()
-    sim, sink = run_observed_workload(
+    sim, sink, profile = run_observed_workload(
         duration=args.duration, seed=args.seed, categories=categories,
         max_per_category=args.cap, profile=args.profile,
         jsonl_path=args.out, flows=True)
-    total_seconds = _time.perf_counter() - started
     trace, tracker = sim.trace, sim.flows
     print(f"Trace: {len(trace)} records retained, "
           f"{trace.dropped} dropped (cap={args.cap})")
@@ -253,12 +249,9 @@ def cmd_observe(args) -> None:
                            slowest_flow_rows(tracker, top_k=args.top)))
 
     extra = None
-    if args.profile:
+    if profile is not None:
         from repro.bench.cli import profile_lines
         from repro.prof.export import counter_events
-        profile = sim.profiler.summary(
-            loop_seconds=sim.wall_seconds, total_seconds=total_seconds,
-            release_times=trace.times("egress.release"))
         print("\n" + "\n".join(profile_lines(profile, top=args.top)))
         extra = counter_events(profile)
     if args.perfetto:
@@ -330,12 +323,11 @@ def cmd_chaos(args) -> None:
 def cmd_scale(args) -> None:
     from repro.analysis import format_table
     from repro.analysis.scale import build_scale_spec, run_scale_cell
-    from repro.bench.cli import _parse_set
+    from repro.bench.cli import _parse_set, check_profile_out
     from repro.cloud.scenario import ScenarioSpec
 
-    if args.profile_out and not args.profile:
-        raise SystemExit("--profile-out requires --profile")
     try:
+        check_profile_out(args)
         if args.spec:
             specs = [ScenarioSpec.from_file(args.spec)]
             if args.shards is not None:
@@ -348,7 +340,7 @@ def cmd_scale(args) -> None:
                 clients_per_tenant=args.clients, request_rate=args.rate,
                 machines=args.machines, workload_params=workload_params)
                 for tenants in args.tenants]
-    except (OSError, ValueError) as exc:    # a bad scenario or spec file
+    except (OSError, ValueError) as exc:    # a bad flag, scenario or file
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     rows = [run_scale_cell(spec, duration=args.duration, seed=args.seed,
@@ -503,12 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write Chrome trace-event JSON to this file and "
                         "validate it (exit 1 on a problem)")
     p.add_argument("--profile", action="store_true",
-                   help="attribute CPU to subsystems; with --perfetto, "
+                   help="sample CPU by layer; with --perfetto, "
                         "merge counter tracks into the span trace")
     p.add_argument("--flow", default=None, metavar="ID",
                    help="show one flow's span timeline (e.g. echo/3)")
     p.add_argument("--top", type=_positive_int, default=10,
-                   help="slowest flows and hottest callbacks to list")
+                   help="slowest flows and hottest functions to list")
     p.set_defaults(fn=cmd_observe)
 
     from repro.core.config import RESILIENT
@@ -555,9 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--once", action="store_true",
                    help="skip the same-seed determinism re-run")
     p.add_argument("--profile", action="store_true",
-                   help="profile each cell and report subsystem CPU "
-                        "attribution (measurement-only; the determinism "
-                        "re-run still passes)")
+                   help="sample each cell and report CPU by layer "
+                        "(measurement-only; the determinism re-run "
+                        "still passes)")
     p.add_argument("--profile-out", default=None, metavar="JSON",
                    help="write the profile as speedscope JSON "
                         "(requires --profile)")

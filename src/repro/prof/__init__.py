@@ -1,27 +1,25 @@
-"""Performance observability: subsystem-attributed profiling.
+"""Performance observability: sampled CPU attribution by layer.
 
-:class:`SubsystemProfiler` accumulates per-callback wall time inside
-the event loop and buckets it by owning subsystem; the exporters turn
-its summary into speedscope JSON and Perfetto counter tracks.  See
-DESIGN.md § Performance observability.
+:class:`Sampler` books a block's CPU to the benchmark's layers by
+``SIGPROF`` sampling; the exporters turn its summary into speedscope
+JSON and Perfetto counter tracks.  See DESIGN.md § Performance
+observability.
 """
 
 from repro.prof.export import (counter_events, speedscope_document,
                                validate_speedscope,
                                validate_speedscope_file, write_speedscope)
-from repro.prof.profiler import (PROFILE_SCHEMA, SUBSYSTEM_PREFIXES,
-                                 SubsystemProfiler, describe_callable,
-                                 merge_summaries, subsystem_of)
+from repro.prof.profiler import (LAYERS, PROFILE_SCHEMA, Sampler,
+                                 layer_of, merge_summaries)
 
 __all__ = [
+    "LAYERS",
     "PROFILE_SCHEMA",
-    "SUBSYSTEM_PREFIXES",
-    "SubsystemProfiler",
+    "Sampler",
     "counter_events",
-    "describe_callable",
+    "layer_of",
     "merge_summaries",
     "speedscope_document",
-    "subsystem_of",
     "validate_speedscope",
     "validate_speedscope_file",
     "write_speedscope",

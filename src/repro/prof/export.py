@@ -1,18 +1,18 @@
 """Profile exports: speedscope JSON and counter tracks.
 
 Both exporters work off the plain-data summary dict
-(:meth:`~repro.prof.profiler.SubsystemProfiler.summary` or
+(:meth:`~repro.prof.profiler.Sampler.summary` or
 :func:`~repro.prof.profiler.merge_summaries`), so a profile persisted
 through the campaign cache or a bench artifact exports identically to
 a live one.
 
 - **speedscope** emits the ``https://www.speedscope.app`` sampled
-  profile: one sample per callback with its accumulated seconds as the
+  profile: one sample per function row with its seconds as the
   weight.
 - **counter events** render the sim-time timeline as Chrome
-  trace-event ``"ph": "C"`` counter tracks (events/sec, CPU ms per
-  bucket, queue high-water, releases/sec) that merge with the PR-4
-  span export into one Perfetto trace.
+  trace-event ``"ph": "C"`` counter tracks (CPU ms per bucket,
+  releases/sec) that merge with the span export into one Perfetto
+  trace.
 
 Every format has a structural validator mirroring
 ``obs/perfetto.py``'s: a list of problems, empty when valid, so CI can
@@ -40,8 +40,9 @@ def _weight_rows(summary: Dict[str, Any]) -> List[Dict[str, Any]]:
 # ---------------------------------------------------------------------------
 def speedscope_document(summary: Dict[str, Any],
                         name: str = "repro profile") -> Dict[str, Any]:
-    """A speedscope ``sampled`` profile: one sample per callback, frames
-    named ``subsystem: module.callback``, weights in seconds."""
+    """A speedscope ``sampled`` profile: one sample per function row,
+    a layer frame over a ``module.function`` frame, weights in
+    seconds."""
     frames: List[Dict[str, str]] = []
     samples: List[List[int]] = []
     weights: List[float] = []
@@ -187,15 +188,9 @@ def counter_events(summary: Dict[str, Any],
     }]
     for bucket in buckets:
         ts = bucket["t"] * _US
-        events.append({"ph": "C", "name": "events_per_sec", "pid": pid,
-                       "ts": ts,
-                       "args": {"value": bucket["events"] / width}})
         events.append({"ph": "C", "name": "cpu_ms_per_bucket", "pid": pid,
                        "ts": ts,
                        "args": {"value": bucket["seconds"] * 1e3}})
-        events.append({"ph": "C", "name": "queue_high_water", "pid": pid,
-                       "ts": ts,
-                       "args": {"value": bucket["queue_high_water"]}})
         events.append({"ph": "C", "name": "releases_per_sec", "pid": pid,
                        "ts": ts,
                        "args": {"value": bucket.get("releases", 0)

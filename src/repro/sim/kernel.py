@@ -18,6 +18,7 @@ later elements are never reached) and the heap pops in exactly
 reaches the head, where it is discarded without firing.
 """
 
+import sys
 import time as _time
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
@@ -176,17 +177,9 @@ class Simulator:
     The ``seed`` feeds the simulator's :class:`~repro.sim.rng.RngRegistry`,
     exposed as :attr:`rng`; components ask for named streams so that adding
     a new component never perturbs the draws of existing ones.
-
-    With ``profile=True`` every callback's host wall time is accumulated
-    by a :class:`~repro.prof.profiler.SubsystemProfiler` (exposed as
-    :attr:`profiler`; pass an instance instead of ``True`` to tune the
-    timeline geometry), whose ``summary()`` attributes the loop's time
-    to subsystems and callbacks; the default keeps the hot loop
-    uninstrumented.  Profiling is measurement-only: event order, RNG
-    draws and every trace are byte-identical with it on or off.
     """
 
-    def __init__(self, seed: int = 0, trace=None, profile: bool = False):
+    def __init__(self, seed: int = 0, trace=None):
         from repro.sim.rng import RngRegistry
         from repro.sim.monitor import MetricSet, Trace
         from repro.obs.flows import FlowTracker
@@ -212,15 +205,6 @@ class Simulator:
         self.cancelled_count: int = 0
         self.heap_high_water: int = 0
         self.wall_seconds: float = 0.0
-        self.profile = bool(profile)
-        #: subsystem-attributed profiler (repro.prof), present only when
-        #: profiling -- measurement only, never perturbs event order
-        self.profiler = None
-        if self.profile:
-            from repro.prof.profiler import SubsystemProfiler
-            self.profiler = (profile if isinstance(profile,
-                                                   SubsystemProfiler)
-                             else SubsystemProfiler())
 
     # ------------------------------------------------------------------
     # scheduling primitives
@@ -289,28 +273,6 @@ class Simulator:
             self.cancelled_count += 1
         return None
 
-    def step(self) -> bool:
-        """Run a single live event; return False when none remain."""
-        if self._head() is None:
-            return False
-        entry = heappop(self._queue)
-        self.now = entry[0]
-        self.event_count += 1
-        entry[4] = _FIRED
-        fn = entry[2]
-        args = entry[3]
-        entry[2] = None
-        entry[3] = ()
-        entry[5] = None   # break reference cycles (incl. entry->simulator)
-        if self.profiler is not None:
-            started = _time.perf_counter()
-            fn(*args)
-            self.profiler.record(fn, _time.perf_counter() - started,
-                                 self.now, len(self._queue))
-        else:
-            fn(*args)
-        return True
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or
@@ -325,63 +287,49 @@ class Simulator:
         at or before ``until`` (left by ``max_events`` or ``stop()``)
         pin the clock instead -- advancing past them would rewind time
         on the next ``run()`` and make their schedules "in the past".
+
+        An event counts as fired once its callback is called, so a
+        callback that raises is counted in :attr:`event_count` too.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         self._stopped = False
         fired = 0
+        bound = _INF if until is None else until
+        budget = sys.maxsize if max_events is None else max_events
+        queue = self._queue
         started = _time.perf_counter()
         try:
-            if max_events is None and not self.profile:
-                fired = self._run_fast(until)
-            else:
-                while not self._stopped:
-                    if max_events is not None and fired >= max_events:
-                        break
-                    head = self._head()
-                    if head is None or until is not None \
-                            and head[0] > until:
-                        break
-                    self.step()
-                    fired += 1
+            while queue and not self._stopped and fired < budget:
+                entry = queue[0]
+                if entry[4] != _PENDING:
+                    # cancelled entry: discard for free
+                    heappop(queue)
+                    self._cancelled_pending -= 1
+                    self.cancelled_count += 1
+                    continue
+                time = entry[0]
+                if time > bound:
+                    break
+                heappop(queue)
+                self.now = time
+                entry[4] = _FIRED
+                fn = entry[2]
+                args = entry[3]
+                entry[2] = None
+                entry[3] = ()
+                entry[5] = None   # break the entry->simulator cycle for the GC
+                fired += 1
+                fn(*args)
             if until is not None and until > self.now and not self._stopped:
                 head = self._head()
                 if head is None or head[0] > until:
                     self.now = until
         finally:
+            self.event_count += fired
             self._running = False
             self.wall_seconds += _time.perf_counter() - started
-        return fired
-
-    def _run_fast(self, until: Optional[float]) -> int:
-        """The unbudgeted, unprofiled hot loop: inlined :meth:`step` with
-        :meth:`_head`'s discarding of cancelled entries folded in."""
-        fired = 0
-        bound = _INF if until is None else until
-        queue = self._queue
-        while queue and not self._stopped:
-            entry = queue[0]
-            if entry[4] != _PENDING:
-                # cancelled entry: discard for free
-                heappop(queue)
-                self._cancelled_pending -= 1
-                self.cancelled_count += 1
-                continue
-            time = entry[0]
-            if time > bound:
-                break
-            heappop(queue)
-            self.now = time
-            entry[4] = _FIRED
-            fn = entry[2]
-            args = entry[3]
-            entry[2] = None
-            entry[3] = ()
-            entry[5] = None   # break the entry->simulator cycle for the GC
-            fn(*args)
-            fired += 1
-        self.event_count += fired
         return fired
 
     def stop(self) -> None:

@@ -143,12 +143,16 @@ class TestFlagChecks:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_scale_profile_out_needs_profile(self, monkeypatch, tmp_path):
+    def test_scale_profile_out_needs_profile(self, monkeypatch, tmp_path,
+                                             capsys):
         monkeypatch.setattr("repro.analysis.scale.run_scale_cell",
                             never_called)
-        with pytest.raises(SystemExit, match="--profile"):
+        with pytest.raises(SystemExit) as exit_:
             main(["scale", "--tenants", "1",
                   "--profile-out", str(tmp_path / "p.json")])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == \
+            "error: --profile-out requires --profile\n"
 
 
 class TestExecution:

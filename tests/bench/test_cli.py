@@ -12,6 +12,7 @@ from repro.bench import (CELLS, Cell, UnknownBenchmark, bench_plan,
                          run_benchmark, write_trajectory)
 from repro.bench.registry import load
 from repro.cli import main
+from repro.core.errors import BadOverride
 
 RUN_SMALL = ["--set", "duration=0.2", "--set", "seed=3",
              "--set", "repeats=1"]
@@ -159,10 +160,13 @@ class TestBenchRunCommand:
         assert "none found" in capsys.readouterr().out
 
     def test_profile_out_requires_profile(self, tmp_path, capsys):
-        with pytest.raises(SystemExit, match="--profile"):
+        with pytest.raises(SystemExit) as exit_:
             run_cli("bench", "run", "--benchmark", "kernel.scale2",
                     *RUN_SMALL, "--output", str(tmp_path / "b.json"),
                     "--profile-out", str(tmp_path / "p.json"))
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == \
+            "error: --profile-out requires --profile\n"
 
     @pytest.mark.parametrize("name, runner, flags", [
         ("kernel.scale2", "repro.analysis.benchkernel:run_kernel_bench",
@@ -171,7 +175,7 @@ class TestBenchRunCommand:
         ("mitigation.frontier",
          "repro.analysis.mitigation:mitigation_frontier", ("--profile",)),
     ])
-    def test_profile_out_rejected_before_running(self, tmp_path,
+    def test_profile_out_rejected_before_running(self, tmp_path, capsys,
                                                  monkeypatch, name,
                                                  runner, flags):
         @functools.wraps(load(runner))      # keeps the real signature
@@ -181,11 +185,36 @@ class TestBenchRunCommand:
 
         monkeypatch.setattr(runner.replace(":", "."), never_called)
         path = tmp_path / "b.json"
-        with pytest.raises(SystemExit, match="--profile"):
+        with pytest.raises(SystemExit) as exit_:
             run_cli("bench", "run", "--benchmark", name, *flags,
                     "--output", str(path),
                     "--profile-out", str(tmp_path / "p.json"))
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--profile" in err
         assert not path.exists()
+
+    def test_profile_a_runner_cannot_take_is_refused(self, tmp_path,
+                                                     capsys, monkeypatch):
+        runner = "repro.analysis.mitigation:mitigation_frontier"
+
+        @functools.wraps(load(runner))      # keeps the real signature
+        def never_called(*args, **kwargs):
+            raise AssertionError("the runner ran before the flags were "
+                                 "checked")
+
+        monkeypatch.setattr(runner.replace(":", "."), never_called)
+        path = tmp_path / "b.json"
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("bench", "run", "--benchmark", "mitigation.frontier",
+                    "--profile", "--output", str(path))
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == \
+            "error: 'mitigation.frontier' takes no --profile\n"
+        assert not path.exists()
+        with pytest.raises(BadOverride, match="takes no --profile"):
+            run_benchmark("mitigation.frontier", profile=True)
 
     @pytest.mark.parametrize("name, runner, sets, named", [
         ("kernel.scale", "repro.analysis.benchkernel:run_kernel_bench",

@@ -39,10 +39,12 @@ def profiled_rows(seed: int = 0) -> dict:
     """A runner returning rows plus a repro.prof summary -- the shape
     profiled chaos/scale cells hand the executor."""
     return {"rows": [["m", 1.0 + seed]],
-            "profile": {"schema": "repro.prof/1",
+            "profile": {"schema": "repro.prof/2",
                         "events": 10 + seed,
-                        "attributed_seconds": 0.5,
-                        "subsystems": {"kernel": 0.3, "net": 0.2},
+                        "samples": 5,
+                        "total_seconds": 0.5,
+                        "subsystems": {"sim": 0.3, "net": 0.2},
+                        "share_errors": {"sim": 0.22, "net": 0.22},
                         "hottest": [], "callbacks": [],
                         "timeline": {"bucket_width": 0.05,
                                      "buckets": []}}}

@@ -1,5 +1,6 @@
 """End-to-end tests of the ``repro campaign`` CLI."""
 
+import json
 import os
 
 import pytest
@@ -118,9 +119,25 @@ class TestRunResumeStatus:
         with pytest.raises(SystemExit, match="no completed cells"):
             _run(["aggregate", spec_path], tmp_path)
 
-    def test_bad_spec_path_errors(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot load spec"):
-            _run(["run", str(tmp_path / "missing.toml")], tmp_path)
+    def test_bad_spec_path_errors(self, tmp_path, capsys):
+        good = {"name": "bad", "seeds": [0], "sweep": [
+            {"runner": "tests.campaign.runners:seeded_rows"}]}
+        specs = {"missing.json": None,
+                 "timeout.json": dict(good, timeout=-1),
+                 "retries.json": dict(good, retries=1),
+                 "no-sweep.json": dict(good, sweep=[])}
+        for name, spec in specs.items():
+            path = tmp_path / name
+            if spec is not None:
+                path.write_text(json.dumps(spec))
+            for command in ("run", "resume", "status", "aggregate"):
+                with pytest.raises(SystemExit) as exit_:
+                    _run([command, str(path)], tmp_path)
+                assert exit_.value.code == 2, (name, command)
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: cannot load spec {path}: ")
+                assert err.count("\n") == 1, err
+        assert not (tmp_path / "state").exists()
 
 
 class TestParserRegistration:

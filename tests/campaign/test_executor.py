@@ -163,11 +163,10 @@ class TestCacheIntegration:
         first = CampaignExecutor(spec, cache,
                                  manifest_path=manifest).run()
         result = first.results[0]
-        assert result.profile["subsystems"] == {"kernel": 0.3,
-                                                "net": 0.2}
+        assert result.profile["subsystems"] == {"sim": 0.3, "net": 0.2}
         assert result.profile["events"] == 13
         rows = list(read_jsonl(manifest))
-        assert rows[0]["profile"]["subsystems"]["kernel"] == 0.3
+        assert rows[0]["profile"]["subsystems"]["sim"] == 0.3
         # the profile survives a cache hit on resume
         second = CampaignExecutor(spec, cache).run()
         assert second.results[0].cached

@@ -13,5 +13,5 @@ from repro.analysis.observe import run_observed_workload
 @pytest.fixture(scope="session")
 def traced_sim():
     """One seeded echo+compute run with flow tracking on."""
-    sim, _ = run_observed_workload(duration=1.0, seed=5, flows=True)
+    sim, _, _ = run_observed_workload(duration=1.0, seed=5, flows=True)
     return sim

@@ -22,10 +22,10 @@ def _egress_trace(sim):
 class TestDeterminism:
     def test_span_tracking_does_not_perturb_the_simulation(self):
         """Same seed, spans off vs on: identical egress traces."""
-        baseline, _ = run_observed_workload(duration=0.6, seed=11,
-                                            flows=False)
-        traced, _ = run_observed_workload(duration=0.6, seed=11,
-                                          flows=True)
+        baseline, _, _ = run_observed_workload(duration=0.6, seed=11,
+                                               flows=False)
+        traced, _, _ = run_observed_workload(duration=0.6, seed=11,
+                                             flows=True)
         base_records = _egress_trace(baseline)
         assert base_records == _egress_trace(traced)
         assert len(base_records) > 0

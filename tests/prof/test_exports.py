@@ -7,17 +7,20 @@ import pytest
 from repro.prof.export import (counter_events, speedscope_document,
                                validate_speedscope,
                                validate_speedscope_file, write_speedscope)
-from repro.prof.profiler import SubsystemProfiler
+from repro.prof.profiler import Sampler
 from repro.sim.kernel import Simulator
+from tests.prof.synthetic import synthetic
 
 
 def sample_summary():
-    prof = SubsystemProfiler(timeline_width=0.1)
+    """CPU in a ``sim`` function at t=0.07 s and in a function of no
+    layer (``other``) at t=0.17 s; a release in each bucket."""
     sim = Simulator()
-    prof.record(sim.stop, 0.4, 0.05, 3)
-    prof.record(sorted, 0.1, 0.15, 5)
-    return prof.summary(loop_seconds=0.6, total_seconds=0.8,
-                        release_times=[0.06, 0.17])
+    sim.call_at(0.07, synthetic("repro.sim.synthetic")["burn"], 0.02)
+    sim.call_at(0.17, synthetic("tests.prof.busy")["burn"], 0.02)
+    with Sampler(sim) as sampler:
+        sim.run()
+    return sampler.summary(release_times=[0.06, 0.18])
 
 
 class TestSpeedscope:
@@ -25,12 +28,14 @@ class TestSpeedscope:
         doc = speedscope_document(sample_summary())
         assert validate_speedscope(doc) == []
         (profile,) = doc["profiles"]
-        assert profile["endValue"] == pytest.approx(0.5)
-        assert len(profile["samples"]) == len(profile["weights"]) == 2
-        # every sample opens with its subsystem frame
+        assert profile["endValue"] > 0.0
+        assert len(profile["samples"]) == len(profile["weights"]) >= 2
+        # every sample opens with its layer frame
         frames = doc["shared"]["frames"]
         roots = {frames[s[0]]["name"] for s in profile["samples"]}
-        assert roots == {"kernel", "other"}
+        assert roots == {"sim", "other"}
+        assert {"repro.sim.synthetic.burn", "tests.prof.busy.burn"} \
+            <= {frames[s[1]]["name"] for s in profile["samples"]}
 
     def test_validator_catches_structural_breakage(self):
         doc = speedscope_document(sample_summary())
@@ -59,16 +64,22 @@ class TestSpeedscope:
 
 class TestCounterEvents:
     def test_counters_follow_the_timeline(self):
-        events = counter_events(sample_summary())
+        summary = sample_summary()
+        events = counter_events(summary)
         counters = [e for e in events if e["ph"] == "C"]
-        # 2 populated buckets x 4 tracks
-        assert len(counters) == 8
+        # one event per populated bucket on each of 2 tracks
+        buckets = summary["timeline"]["buckets"]
+        assert len(counters) == 2 * len(buckets)
         assert all(isinstance(e["args"]["value"], (int, float))
                    for e in counters)
-        eps = [e for e in counters if e["name"] == "events_per_sec"]
-        assert eps[0]["args"]["value"] == pytest.approx(10.0)  # 1/0.1s
-        rel = [e for e in counters if e["name"] == "releases_per_sec"]
-        assert rel[0]["args"]["value"] == pytest.approx(10.0)
+        cpu = {round(e["ts"]): e["args"]["value"] for e in counters
+               if e["name"] == "cpu_ms_per_bucket"}
+        assert cpu[50_000] > 0.0 and cpu[150_000] > 0.0
+        assert sum(cpu.values()) == pytest.approx(
+            summary["total_seconds"] * 1e3)
+        rel = [e["args"]["value"] for e in counters
+               if e["name"] == "releases_per_sec" and e["args"]["value"]]
+        assert rel == pytest.approx([20.0, 20.0])       # 1 per 0.05 s
 
     def test_no_timeline_means_no_events(self):
         assert counter_events({"timeline": {"bucket_width": None,
@@ -78,7 +89,7 @@ class TestCounterEvents:
         from repro.analysis.observe import run_observed_workload
         from repro.obs import export_perfetto, validate_file
 
-        sim, _ = run_observed_workload(duration=0.5, seed=5, flows=True)
+        sim, _, _ = run_observed_workload(duration=0.5, seed=5, flows=True)
         path = str(tmp_path / "merged.json")
         export_perfetto(sim.flows.store, path,
                         extra_events=counter_events(sample_summary()))

@@ -177,19 +177,23 @@ def test_heap_high_water_and_stats():
     assert "profile" not in stats
 
 
-def test_profile_collects_callback_wall_time():
-    sim = Simulator(profile=True)
+@pytest.mark.parametrize("max_events", [None, 10])
+def test_a_raising_callback_is_counted(max_events):
+    """An event counts once its callback is called, budget or not."""
+    sim = Simulator()
 
-    def busy():
-        pass
+    def boom():
+        raise RuntimeError("boom")
 
-    for i in range(3):
-        sim.call_after(float(i + 1), busy)
-    sim.run()
-    (row,) = sim.profiler.callback_rows()
-    assert "busy" in row["callback"]
-    assert row["calls"] == 3
-    assert row["seconds"] >= 0.0
+    sim.call_after(1.0, lambda: None)
+    sim.call_after(2.0, lambda: None)
+    sim.call_after(3.0, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(max_events=max_events)
+    assert sim.event_count == 3
+    assert sim.now == 3.0
+    assert sim.pending_events == 0
+    assert sim.run() == 0          # not left running
 
 
 def test_peek_skips_cancelled():
