@@ -124,12 +124,11 @@ def _policy_cell(policy, seed: int,
     lone machine, the classic cloud coresidency setup.
     """
     policy = resolve_policy(policy, base_config)
-    config = policy.configure(base_config)
-    replicas = policy.replica_count(config)
+    replicas = policy.replica_count(base_config)
     sim = Simulator(seed=seed, trace=Trace(
         categories={"vmm.divergence"}, max_per_category=4096))
     machines = 5 if replicas > 1 else 1
-    cloud = Cloud(sim, machines=machines, config=config,
+    cloud = Cloud(sim, machines=machines, config=base_config,
                   host_kwargs=host_kwargs or {"contention_alpha": 0.5},
                   policy=policy)
     if replicas > 1:

@@ -9,13 +9,16 @@ Typical usage::
     cloud.start()
     sim.run(until=30.0)
 
-With ``config.mediate`` the fabric builds the full StopWatch pipeline
-(ingress replication, per-VM coordination groups, egress); without it,
-it wires the unmodified-Xen baseline: client traffic goes straight to
-the single replica's dom0, and guest output leaves directly.
+Each VM's :class:`~repro.mitigation.MitigationPolicy` decides its
+wiring.  A coordinated policy on more than one replica (``stopwatch``
+under the default config) gets the full StopWatch pipeline: ingress
+replication and a per-VM coordination group.  Every other VM gets the
+baseline wiring: client traffic goes straight to its single replica's
+dom0.  Output leaves through the egress node when the policy's
+``egress`` is set, and directly otherwise (``none``: unmodified Xen).
 
-Placement (Sec. VIII): when ``hosts=`` is omitted on a mediated
-3-replica VM, the fabric asks a :class:`~repro.placement.scheduler.
+Placement (Sec. VIII): when ``hosts=`` is omitted on a 3-replica VM,
+the fabric asks a :class:`~repro.placement.scheduler.
 PlacementScheduler` for the VM's replica *triangle*, so any two VMs
 co-reside on at most one machine.  Pass your own scheduler for strict
 operator-controlled placement (a full cluster then raises
@@ -107,20 +110,21 @@ class Cloud:
                  shards: int = 1,
                  placer="auto",
                  policy=None):
-        if machines < config.replicas:
+        #: cloud-wide default mitigation policy; ``None`` derives it
+        #: from the replica count (:func:`repro.mitigation
+        #: .default_policy`).  ``create_vm(policy=...)`` overrides it
+        #: per tenant.
+        self.policy = resolve_policy(policy, config)
+        replicas = self.policy.replica_count(config)
+        if machines < replicas:
             raise ValueError(
-                f"{config.replicas} replicas need at least that many "
+                f"{replicas} replicas need at least that many "
                 f"machines, got {machines}"
             )
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.sim = sim
         self.config = config
-        #: cloud-wide default mitigation policy; ``None`` derives the
-        #: config's historical behaviour (stopwatch when mediated, the
-        #: passthrough baseline otherwise).  ``create_vm(policy=...)``
-        #: overrides it per tenant.
-        self.policy = resolve_policy(policy, config)
         self.shards = shards
         self.network = Network(sim, default_link_kwargs={
             "latency": config.internal_latency,
@@ -228,11 +232,10 @@ class Cloud:
                     f"placement triangles need exactly 3 replicas, the "
                     f"config has {replica_count}; pass hosts= explicitly")
             return self._placer
-        # auto: placement triangles only exist for mediated 3-replica
-        # clouds on a 3+-machine fleet; everything else keeps the legacy
-        # hosts 0..r-1 (byte-identical to previous releases).
-        if (replica_count != 3 or not self.config.mediate
-                or len(self.hosts) < 3):
+        # auto: placement triangles only exist for 3-replica VMs on a
+        # 3+-machine fleet; everything else keeps the legacy hosts
+        # 0..r-1 (byte-identical to previous releases).
+        if replica_count != 3 or len(self.hosts) < 3:
             return None
         if self._placer is None:
             capacity = max(1, (len(self.hosts) - 1) // 2)
@@ -266,7 +269,7 @@ class Cloud:
                   workload_factory: Optional[Callable] = None,
                   hosts: Optional[Sequence[int]] = None,
                   policy=None) -> ReplicatedVM:
-        """Deploy a guest VM (replicated per the config).
+        """Deploy a guest VM (replicated per its policy).
 
         ``workload_factory(guest_os)`` is called once per replica and must
         return an object with a ``start()`` method; all replicas get RNGs
@@ -279,10 +282,11 @@ class Cloud:
         ``policy`` (a name or :class:`~repro.mitigation
         .MitigationPolicy`) overrides the cloud's default mitigation
         policy for this VM: it decides the replica count, whether the
-        replicas coordinate through median agreement, and the
-        injection/release timing discipline.  Single-replica policies
-        in a mediated cloud still route output through the egress node
-        (quorum 1) so the policy's release hook applies.
+        replicas coordinate through median agreement, the
+        injection/release timing discipline, and (its ``egress``)
+        whether output goes through the egress node, where a
+        single-replica policy releases at quorum 1 after its release
+        hook's delay.
         """
         if name in self.vms:
             raise ValueError(f"VM {name!r} already exists")
@@ -325,7 +329,7 @@ class Cloud:
         else:
             self._wire_baseline(vm)
 
-        if self.config.egress_enabled:
+        if vm_policy.egress:
             self.egresses[shard].register_vm(name, replica_count,
                                              policy=vm_policy)
 
@@ -411,7 +415,7 @@ class Cloud:
         if replica_id in down:
             return
         down.add(replica_id)
-        if self.config.egress_enabled:
+        if self.vms[vm_name].policy.egress:
             self.egress_for(vm_name).mark_replica_down(vm_name, replica_id)
         if self.healer is not None:
             self.healer.replica_suspected(vm_name, replica_id)
@@ -423,7 +427,7 @@ class Cloud:
         if not down or replica_id not in down:
             return
         down.discard(replica_id)
-        if self.config.egress_enabled:
+        if self.vms[vm_name].policy.egress:
             self.egress_for(vm_name).mark_replica_up(vm_name, replica_id)
         for listener in self.replica_listeners:
             listener(vm_name, replica_id, True)

@@ -112,7 +112,7 @@ class TenantSpec:
     #: first-retry backoff (s); doubles per attempt, seeded jitter on top
     backoff_base: float = 0.05
     #: mitigation policy name (repro.mitigation.POLICIES); None runs
-    #: the cloud's default (stopwatch under a mediated config)
+    #: the cloud's default (stopwatch unless [config] sets replicas = 1)
     policy: Optional[str] = None
     #: constructor params for the policy (e.g. {"bound": 0.02})
     policy_params: Dict[str, Any] = field(default_factory=dict)
@@ -313,19 +313,6 @@ class ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# client load drivers
-# ---------------------------------------------------------------------------
-def __getattr__(name: str):
-    # DownloadLoop moved to repro.workloads.fileserver next to the
-    # other client drivers; resolve the pre-registry import path
-    # lazily so the spec layer stays import-light.
-    if name == "DownloadLoop":
-        from repro.workloads.fileserver import DownloadLoop
-        return DownloadLoop
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# ---------------------------------------------------------------------------
 # the builder
 # ---------------------------------------------------------------------------
 @dataclass
@@ -422,8 +409,7 @@ class CloudBuilder:
             names = tenant.vm_names()
             tenant_vms[tenant.name] = names
             vm_policy = tenant.make_policy()
-            replica_count = (vm_policy.replica_count(config)
-                             if vm_policy is not None else config.replicas)
+            replica_count = (vm_policy or cloud.policy).replica_count(config)
             wan = spec.wan[tenant.wan]
             for vm_index, vm_name in enumerate(names):
                 if tenant.hosts is not None:

@@ -12,9 +12,15 @@ The simulated guest executes ``base_branch_rate`` branches per real second
 nominally; ``initial_slope`` makes one virtual second correspond to
 ``1 / initial_slope`` branches, so with the defaults virtual time advances
 at roughly wall-clock rate on an unloaded host.
+
+How a VM is mediated is not a field here: each VM runs one
+:class:`~repro.mitigation.MitigationPolicy`, and the config only picks
+the default one by ``replicas`` (``stopwatch`` above 1, ``none`` -- the
+unmodified-Xen baseline -- at 1; see :func:`repro.mitigation
+.default_policy`).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.core.errors import ConfigError
@@ -25,10 +31,9 @@ class StopWatchConfig:
     """Configuration for a StopWatch deployment (or a baseline one)."""
 
     # -- replication -----------------------------------------------------
-    #: number of replicas per guest VM (the paper uses 3; Sec. IX discusses 5)
+    #: number of replicas per guest VM (the paper uses 3; Sec. IX
+    #: discusses 5); 1 runs unmodified Xen unless a VM names a policy
     replicas: int = 3
-    #: False turns off all timing mediation -> "unmodified Xen" baseline
-    mediate: bool = True
     #: timing aggregation across replica proposals; "median" is
     #: StopWatch, the others exist for the ablation study (Sec. II
     #: discusses why e.g. "leader" is unsafe)
@@ -66,12 +71,6 @@ class StopWatchConfig:
     # -- guest timer (Sec. IV-B) ---------------------------------------------
     #: PIT frequency presented to the guest, interrupts per virtual second
     pit_hz: float = 250.0
-    #: deliver PIT timer interrupts at all (guests in the paper use PIT)
-    timer_interrupts: bool = True
-
-    # -- external observer defense (Sec. VI) ----------------------------------
-    #: route guest output through the egress node (release on 2nd copy)
-    egress_enabled: bool = True
 
     # -- fault tolerance (Sec. II / V availability story) -----------------------
     #: heartbeat-based replica failure detection.  Off by default: the
@@ -126,9 +125,9 @@ class StopWatchConfig:
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
-        if self.mediate and self.replicas % 2 == 0:
-            raise ConfigError("mediated operation needs an odd replica count "
-                              f"for a true median, got {self.replicas}")
+        if self.replicas % 2 == 0:
+            raise ConfigError("median agreement needs an odd replica count, "
+                              f"got {self.replicas}")
         if self.base_branch_rate <= 0:
             raise ConfigError("base_branch_rate must be positive")
         if self.initial_slope <= 0:
@@ -189,8 +188,9 @@ class StopWatchConfig:
 #: The paper's evaluated configuration: three replicas, full mediation.
 DEFAULT = StopWatchConfig()
 
-#: "Unmodified Xen": one replica, no mediation, no egress indirection.
-PASSTHROUGH = StopWatchConfig(replicas=1, mediate=False, egress_enabled=False)
+#: "Unmodified Xen": one replica, so the default policy is ``none`` (no
+#: mediation, no egress indirection; see repro.mitigation).
+PASSTHROUGH = StopWatchConfig(replicas=1)
 
 #: The fault-tolerant deployment: full mediation plus heartbeat failure
 #: detection, degraded live-quorum agreement and stale-state sweeping.

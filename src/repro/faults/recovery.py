@@ -10,7 +10,7 @@ recording theirs (:class:`~repro.vmm.replay.ExecutionRecorder`).
 :func:`rejoin_replica` therefore:
 
 1. picks a live survivor with a recording;
-2. re-executes the guest offline against that schedule with a strict
+2. re-executes the guest offline against that schedule with a
    :class:`~repro.vmm.replay.ReplayEngine` -- every output is checked
    against the survivor's, so the determinism invariant is re-asserted,
    not assumed (a mismatch raises :class:`ReplayMismatch` and aborts
@@ -89,7 +89,7 @@ def rejoin_replica(cloud, vm_name: str, replica_id: int) -> ReplayEngine:
         host.restore()
 
     engine = ReplayEngine(recording, vm.workload_factory,
-                          random.Random(vm.workload_seed), strict=True)
+                          random.Random(vm.workload_seed))
     engine.run()  # ReplayMismatch here aborts the rejoin
     cloud.sim.trace.record(cloud.sim.now, "recovery.replay",
                            vm=vm_name, replica=replica_id,

@@ -111,7 +111,6 @@ class GuestOS:
         timer = GuestTimer(fn, args, flow=self._current_flow)
         heapq.heappush(self._events, (instr, self._seq, timer))
         self._seq += 1
-        self.vmm.notify_guest_event()
         return timer
 
     def send_packet(self, packet) -> None:

@@ -35,13 +35,22 @@ instead of embedding median logic, with four implementations:
     Passthrough control: one replica, immediate injection, direct
     output -- the unmodified-Xen baseline.
 
+A VM's policy is the only thing that decides how it is mediated; the
+:class:`StopWatchConfig` supplies the numbers (replica count, Δn, Δd,
+...) and, through :func:`default_policy`, the policy of a VM that names
+none: ``stopwatch`` when ``replicas > 1``, ``none`` at ``replicas == 1``.
+
 Hook contract (all hooks must be deterministic given the simulator's
 seeded RNG registry; none may keep mutable per-call state on the policy
 object itself, because one instance may serve many VMs):
 
 - ``replica_count(config)``: replicas deployed per guest VM.
-- ``coordinated``: whether replicas run median agreement; uncoordinated
-  VMMs take the local-injection path even under a mediated cloud.
+- ``coordinated``: whether replicas run median agreement (the fabric
+  wires a coordination group only for a coordinated multi-replica VM;
+  a VMM without one takes the local-injection path).
+- ``egress``: whether the VM's output leaves through the egress node,
+  which holds each packet for its release quorum and ``release_delay``
+  (``False`` sends it directly, as unmodified Xen does).
 - ``inbound_delivery_virt(vmm)`` / ``immediate_injection``: delivery
   virtual time for a locally-injected inbound packet, and whether the
   engine is poked mid-quantum (baseline behaviour) or left to deliver
@@ -76,16 +85,12 @@ class MitigationPolicy:
     immediate_injection = True
     #: disk completion pokes the engine (baseline immediate injection)
     disk_poke = True
+    #: guest output leaves through the egress node
+    egress = False
 
     # -- deployment shape ---------------------------------------------
     def replica_count(self, config: StopWatchConfig) -> int:
         return 1
-
-    def configure(self, base: StopWatchConfig) -> StopWatchConfig:
-        """The :class:`StopWatchConfig` a standalone cloud running this
-        policy should use, derived from ``base``."""
-        return base.with_overrides(replicas=1, mediate=False,
-                                   egress_enabled=False)
 
     # -- hypervisor hooks ---------------------------------------------
     def inbound_delivery_virt(self, vmm) -> float:
@@ -122,12 +127,13 @@ class StopWatchPolicy(MitigationPolicy):
     """``stopwatch``: the paper's 3-replica median mediation, extracted.
 
     Every hook reproduces the arithmetic the hypervisor used before the
-    extraction, so a cloud running this policy under a mediated config
-    is byte-identical to previous releases.
+    extraction, so a cloud running this policy is byte-identical to
+    previous releases.
     """
 
     name = "stopwatch"
     coordinated = True
+    egress = True
     #: an uncoordinated stopwatch VMM (single replica, or a unit test
     #: without a coordination group) falls back to baseline local
     #: injection, exactly as the pre-extraction code did
@@ -136,12 +142,6 @@ class StopWatchPolicy(MitigationPolicy):
 
     def replica_count(self, config: StopWatchConfig) -> int:
         return config.replicas
-
-    def configure(self, base: StopWatchConfig) -> StopWatchConfig:
-        if base.mediate and base.egress_enabled:
-            return base
-        return base.with_overrides(mediate=True, egress_enabled=True,
-                                   replicas=max(3, base.replicas))
 
     def disk_delivery_virt(self, vmm, request_virt: float) -> float:
         return request_virt + vmm.config.delta_disk
@@ -161,6 +161,7 @@ class DeterlandPolicy(MitigationPolicy):
     name = "deterland"
     immediate_injection = False
     disk_poke = False
+    egress = True
 
     def __init__(self, interval: float = 0.005,
                  release_interval: Optional[float] = None):
@@ -179,10 +180,6 @@ class DeterlandPolicy(MitigationPolicy):
     @staticmethod
     def _next_boundary(time: float, interval: float) -> float:
         return (math.floor(time / interval) + 1) * interval
-
-    def configure(self, base: StopWatchConfig) -> StopWatchConfig:
-        return base.with_overrides(replicas=1, mediate=False,
-                                   egress_enabled=True)
 
     def inbound_delivery_virt(self, vmm) -> float:
         return self._next_boundary(vmm.current_virt(), self.interval)
@@ -217,16 +214,13 @@ class UniformNoisePolicy(MitigationPolicy):
     name = "uniform-noise"
     immediate_injection = False
     disk_poke = False
+    egress = True
 
     def __init__(self, bound: float = 0.010):
         if bound <= 0:
             raise PolicyError(
                 f"noise bound must be positive, got {bound}")
         self.bound = bound
-
-    def configure(self, base: StopWatchConfig) -> StopWatchConfig:
-        return base.with_overrides(replicas=1, mediate=False,
-                                   egress_enabled=True)
 
     def _draw(self, sim, name: str) -> float:
         return sim.rng.stream(name).uniform(0.0, self.bound)
@@ -274,10 +268,11 @@ def make_policy(name: str, **params) -> MitigationPolicy:
 
 
 def default_policy(config: StopWatchConfig) -> MitigationPolicy:
-    """The policy a config implies when none is given explicitly --
-    chosen so that pre-subsystem callers are byte-identical: mediated
-    configs ran the StopWatch pipeline, unmediated ones the baseline."""
-    return StopWatchPolicy() if config.mediate else PassthroughPolicy()
+    """The policy of a VM that names none: StopWatch's replicated
+    median when the config deploys more than one replica, the
+    unmodified-Xen passthrough when it deploys one."""
+    return StopWatchPolicy() if config.replicas > 1 \
+        else PassthroughPolicy()
 
 
 def resolve_policy(policy, config: StopWatchConfig) -> MitigationPolicy:

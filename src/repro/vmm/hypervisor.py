@@ -16,10 +16,15 @@ The interrupt sources and their delivery disciplines (Sec. IV-V):
   whose virtual time passes the median.  A median that already passed
   marks a divergence (synchrony violation, Sec. V-A footnote 4).
 
-With ``config.mediate = False`` the same engine models unmodified Xen:
-one replica, interrupts delivered as soon as the device model finishes
-(the engine is poked mid-quantum so baseline latency is not quantised),
-guest outputs sent directly.
+The VMM's :class:`~repro.mitigation.MitigationPolicy` picks these
+delivery times and whether output goes through the egress node; its
+wiring picks the rest.  A VMM with a coordination group (set by the
+fabric for a replicated ``stopwatch`` VM) paces against its siblings
+and takes the agreement path; one without injects locally.  Under the
+``none`` policy the same engine models unmodified Xen: one replica,
+interrupts delivered as soon as the device model finishes (the engine
+is poked mid-quantum so baseline latency is not quantised), guest
+outputs sent directly.
 """
 
 from collections import deque
@@ -28,7 +33,7 @@ from typing import Callable, Optional
 from repro.core.config import StopWatchConfig
 from repro.core.virtual_time import EpochSample, VirtualClock
 from repro.machine.guest import GuestOS
-from repro.mitigation import MitigationPolicy, default_policy
+from repro.mitigation import MitigationPolicy
 from repro.net.packet import Packet, ReplicaEnvelope
 from repro.sim.errors import ProcessFailed
 
@@ -64,18 +69,16 @@ class ReplicaVMM:
 
     def __init__(self, sim, host, vm_name: str, replica_id: int,
                  config: StopWatchConfig, workload_rng,
-                 egress_address: str = "egress",
-                 policy: Optional[MitigationPolicy] = None):
+                 policy: MitigationPolicy,
+                 egress_address: str = "egress"):
         self.sim = sim
         self.host = host
         self.vm_name = vm_name
         self.vm_address = f"vm:{vm_name}"
         self.replica_id = replica_id
         self.config = config
-        # injection/release timing discipline; the default derives from
-        # the config so pre-subsystem callers behave identically
-        self.policy = policy if policy is not None \
-            else default_policy(config)
+        # injection/release timing discipline
+        self.policy = policy
         self.egress_address = egress_address
         self.clock = VirtualClock(
             start=0.0, slope=config.initial_slope,
@@ -91,7 +94,6 @@ class ReplicaVMM:
         self._pending_net = {}
         self._net_seq_baseline = 0          # local seq counter (baseline)
         self._next_net_delivery_seq = 0
-        self._net_commit_floor = 0.0        # FIFO clamp on delivery times
         self._net_suppress_floor = 0        # seqs below this came via replay
         self._pending_disk = deque()
 
@@ -195,12 +197,6 @@ class ReplicaVMM:
     def current_virt(self) -> float:
         return self.clock.time_at(self.instr)
 
-    def notify_guest_event(self) -> None:
-        # Guest events are only created while the engine is awake (guest
-        # code runs inside engine steps), so no poke is needed; the engine
-        # recomputes its next target after every step.
-        pass
-
     def guest_output(self, packet: Packet) -> None:
         """Guest emitted a packet at the current instruction count."""
         seq = self._out_seq
@@ -218,7 +214,7 @@ class ReplicaVMM:
                               replica=self.replica_id, seq=seq)
         self.sim.flows.output_emitted(self.sim.now, self.vm_name, seq,
                                       self.replica_id, flow)
-        if self.config.egress_enabled:
+        if self.policy.egress:
             envelope = ReplicaEnvelope(vm=self.vm_name, direction="out",
                                        seq=seq, inner=packet,
                                        replica_id=self.replica_id)
@@ -272,7 +268,7 @@ class ReplicaVMM:
                                   vm=self.vm_name, replica=self.replica_id,
                                   seq=seq)
             return
-        if not self.policy.coordinated or self.coordination is None:
+        if self.coordination is None:
             local_seq = self._net_seq_baseline
             self._net_seq_baseline += 1
             self._pending_net[local_seq] = _NetInjection(
@@ -296,21 +292,21 @@ class ReplicaVMM:
         ``packet`` may be ``None`` when the group decided a slot this
         replica never observed (ingress loss, or a stale agreement swept
         under degraded operation): the slot is *skipped* at delivery
-        time so FIFO injection keeps moving.
+        time so FIFO injection keeps moving.  Slots are injected in seq
+        order, so seq ``k`` lands at the first VM exit past the largest
+        median of seqs ``0..k`` whatever order the decisions arrive in.
         """
         if seq < self._next_net_delivery_seq:
             return  # late decision for a slot already delivered/skipped
         self.sim.flows.decision_committed(self.sim.now, self.vm_name, seq,
                                           self.replica_id, median_virt)
-        delivery = max(median_virt, self._net_commit_floor)
-        self._net_commit_floor = delivery
         if median_virt < self.last_exit_virt:
             # the chosen median already passed here: synchrony violated
             self.stats["divergences"] += 1
             self.sim.trace.record(self.sim.now, "vmm.divergence",
                                   vm=self.vm_name, replica=self.replica_id,
                                   seq=seq)
-        self._pending_net[seq] = _NetInjection(seq, packet, delivery)
+        self._pending_net[seq] = _NetInjection(seq, packet, median_virt)
 
     # ------------------------------------------------------------------
     # the execution engine
@@ -349,7 +345,7 @@ class ReplicaVMM:
         config = self.config
         exit_interval = config.exit_interval_branches
         pacing_interval = config.pacing_interval_branches
-        paced = config.mediate and self.coordination is not None
+        paced = self.coordination is not None
         # stable collaborators, bound once: this generator resumes about
         # 1e5 times per simulated second
         sim = self.sim
@@ -413,17 +409,15 @@ class ReplicaVMM:
         virt = self.clock.time_at(self.instr)
         self.last_exit_virt = virt
         self.stats["vm_exits"] += 1
-        config = self.config
 
-        if config.timer_interrupts:
-            tick_gate = self.policy.timer_gate_virt(self, virt)
-            while self._next_pit_virt <= tick_gate:
-                self.pit_ticks += 1
-                self.stats["timer_interrupts"] += 1
-                if self.on_tick is not None:
-                    self.on_tick(self.pit_ticks, self.instr)
-                self.guest.deliver_tick(self.pit_ticks)
-                self._next_pit_virt += config.pit_period_virtual
+        tick_gate = self.policy.timer_gate_virt(self, virt)
+        while self._next_pit_virt <= tick_gate:
+            self.pit_ticks += 1
+            self.stats["timer_interrupts"] += 1
+            if self.on_tick is not None:
+                self.on_tick(self.pit_ticks, self.instr)
+            self.guest.deliver_tick(self.pit_ticks)
+            self._next_pit_virt += self.config.pit_period_virtual
 
         while self._pending_disk:
             head = self._pending_disk[0]
@@ -482,8 +476,8 @@ class ReplicaVMM:
                                      injection.packet)
             # the guest handler (and anything it schedules) runs in this
             # flow's context; mediated injections carry the ingress seq
-            flow = injection.seq if self.config.mediate \
-                and self.coordination is not None else None
+            flow = injection.seq if self.coordination is not None \
+                else None
             self.guest.set_flow(flow)
             try:
                 self.guest.deliver_packet(injection.packet)
@@ -524,7 +518,6 @@ class ReplicaVMM:
         self._pending_disk.clear()
         self._net_suppress_floor = floor
         self._next_net_delivery_seq = floor
-        self._net_commit_floor = self.last_exit_virt
         self._out_seq = engine._out_seq
         if recording.ticks:
             self.pit_ticks = recording.ticks[-1][0]

@@ -112,10 +112,9 @@ class ReplayEngine:
     """
 
     def __init__(self, recording: ExecutionRecording, workload_factory,
-                 workload_rng, strict: bool = True):
+                 workload_rng):
         self.recording = recording
         self.config = recording.config
-        self.strict = strict
         self.vm_name = recording.vm_name
         self.vm_address = f"vm:{recording.vm_name}"
         self.clock = VirtualClock(
@@ -144,36 +143,30 @@ class ReplayEngine:
     def current_virt(self) -> float:
         return self.clock.time_at(self.instr)
 
-    def notify_guest_event(self) -> None:
-        pass
-
     def guest_output(self, packet) -> None:
         seq = self._out_seq
         self._out_seq += 1
         self.outputs.append((seq, self.instr, packet))
-        if self.strict and seq < len(self.recording.outputs):
-            expected_seq, expected_instr, _ = self.recording.outputs[seq]
-            if (seq, self.instr) != (expected_seq, expected_instr):
-                raise ReplayMismatch(
-                    f"output {seq} emitted at instr {self.instr}, "
-                    f"recorded at {expected_instr}"
-                )
-        elif self.strict:
+        if seq >= len(self.recording.outputs):
             raise ReplayMismatch(
                 f"replay produced extra output seq {seq} at instr "
                 f"{self.instr}"
+            )
+        expected_seq, expected_instr, _ = self.recording.outputs[seq]
+        if (seq, self.instr) != (expected_seq, expected_instr):
+            raise ReplayMismatch(
+                f"output {seq} emitted at instr {self.instr}, "
+                f"recorded at {expected_instr}"
             )
 
     def request_disk(self, blocks, fn, args, write) -> None:
         """Disk requests are matched positionally to recorded deliveries
         (the guest issues them in the same deterministic order)."""
         if self._disk_cursor >= len(self.recording.disk):
-            if self.strict:
-                raise ReplayMismatch(
-                    f"replay issued more disk requests than recorded "
-                    f"({self._disk_cursor + 1})"
-                )
-            return
+            raise ReplayMismatch(
+                f"replay issued more disk requests than recorded "
+                f"({self._disk_cursor + 1})"
+            )
         _, delivery_instr = self.recording.disk[self._disk_cursor]
         self._disk_cursor += 1
         if delivery_instr < self.instr:
@@ -229,7 +222,7 @@ class ReplayEngine:
                 else:  # disk
                     fn, args = payload
                     fn(*args)
-        if self.strict and len(self.outputs) != len(self.recording.outputs):
+        if len(self.outputs) != len(self.recording.outputs):
             raise ReplayMismatch(
                 f"replay produced {len(self.outputs)} outputs, recording "
                 f"has {len(self.recording.outputs)}"

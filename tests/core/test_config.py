@@ -3,18 +3,21 @@
 import pytest
 
 from repro.core import ConfigError, DEFAULT, PASSTHROUGH, StopWatchConfig
+from repro.mitigation import default_policy
 
 
 def test_default_is_three_replica_mediated():
     assert DEFAULT.replicas == 3
-    assert DEFAULT.mediate
-    assert DEFAULT.egress_enabled
+    policy = default_policy(DEFAULT)
+    assert policy.name == "stopwatch"
+    assert policy.coordinated and policy.egress
 
 
 def test_passthrough_models_unmodified_xen():
     assert PASSTHROUGH.replicas == 1
-    assert not PASSTHROUGH.mediate
-    assert not PASSTHROUGH.egress_enabled
+    policy = default_policy(PASSTHROUGH)
+    assert policy.name == "none"
+    assert not policy.coordinated and not policy.egress
 
 
 def test_even_replica_count_rejected_when_mediating():
@@ -68,3 +71,12 @@ def test_with_overrides_returns_new_config():
 def test_with_overrides_validates():
     with pytest.raises(ConfigError):
         DEFAULT.with_overrides(replicas=4)
+
+
+@pytest.mark.parametrize("name", ["mediate", "egress_enabled",
+                                  "timer_interrupts"])
+def test_mitigation_switches_are_not_fields(name):
+    """How a VM is mediated is its policy's business (repro.mitigation):
+    the config has no switch for it, so naming one fails loudly."""
+    with pytest.raises(TypeError, match=name):
+        DEFAULT.with_overrides(**{name: False})

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import PASSTHROUGH
 from repro.machine import Host, HostCapacityError
+from repro.mitigation import PassthroughPolicy
 from repro.net import Network
 from repro.sim import Simulator
 from repro.vmm import ReplicaVMM
@@ -18,7 +19,8 @@ def make_host(sim, **kwargs):
 
 def attach_guest(sim, host, name):
     return ReplicaVMM(sim, host, name, 0, PASSTHROUGH,
-                      workload_rng=random.Random(0))
+                      workload_rng=random.Random(0),
+                      policy=PassthroughPolicy())
 
 
 class TestCapacity:

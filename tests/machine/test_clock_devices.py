@@ -15,6 +15,7 @@ from repro.machine.devices import (
     VirtualRtc,
     VirtualTsc,
 )
+from repro.mitigation import PassthroughPolicy
 from repro.net import Network
 from repro.sim import Simulator
 from repro.vmm import ReplicaVMM
@@ -74,7 +75,7 @@ class TestGuestIntegration:
         network = Network(sim)
         host = Host(sim, 0, network, jitter_sigma=0.0)
         vmm = ReplicaVMM(sim, host, "vm1", 0, PASSTHROUGH,
-                         random.Random(7))
+                         random.Random(7), PassthroughPolicy())
         return sim, vmm, vmm.guest
 
     def test_all_devices_pure_functions_of_instr(self):

@@ -7,6 +7,7 @@ import pytest
 from repro.core import PASSTHROUGH
 from repro.machine import FileSystemError, Host, SimpleFileSystem
 from repro.machine.fs import BLOCK_SIZE
+from repro.mitigation import PassthroughPolicy
 from repro.net import Network
 from repro.sim import Simulator
 from repro.vmm import ReplicaVMM
@@ -16,7 +17,8 @@ def make_fs(seed=1, cache_blocks=64):
     sim = Simulator(seed=seed)
     network = Network(sim)
     host = Host(sim, 0, network, jitter_sigma=0.0)
-    vmm = ReplicaVMM(sim, host, "vm1", 0, PASSTHROUGH, random.Random(7))
+    vmm = ReplicaVMM(sim, host, "vm1", 0, PASSTHROUGH, random.Random(7),
+                     PassthroughPolicy())
     fs = SimpleFileSystem(vmm.guest, cache_blocks=cache_blocks)
     vmm.start()
     return sim, vmm, fs

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import StopWatchConfig, PASSTHROUGH
 from repro.machine import Host
+from repro.mitigation import PassthroughPolicy, StopWatchPolicy
 from repro.net import Network
 from repro.sim import Simulator
 from repro.vmm import ReplicaVMM
@@ -45,18 +46,18 @@ class TestHost:
         sim = Simulator(seed=9)
         host = make_host(sim)
         vmm = ReplicaVMM(sim, host, "vm1", 0, PASSTHROUGH,
-                         random.Random(1))
+                         random.Random(1), PassthroughPolicy())
         assert host.vmms == [vmm]
 
 
 class TestGuestOS:
     """GuestOS exercised through a single-replica (baseline) VMM."""
 
-    def make_guest(self, seed=1, config=None):
+    def make_guest(self, seed=1, config=None, policy=None):
         sim = Simulator(seed=seed)
         host = make_host(sim, jitter_sigma=0.0)
-        vmm = ReplicaVMM(sim, host, "vm1", 0,
-                         config or PASSTHROUGH, random.Random(7))
+        vmm = ReplicaVMM(sim, host, "vm1", 0, config or PASSTHROUGH,
+                         random.Random(7), policy or PassthroughPolicy())
         return sim, vmm, vmm.guest
 
     def test_now_starts_at_zero(self):
@@ -158,9 +159,9 @@ class TestGuestOS:
         assert done[0] > 0.0
 
     def test_mediated_disk_delivery_at_delta_d(self):
-        config = StopWatchConfig(replicas=1, mediate=True,
-                                 egress_enabled=False, delta_disk=0.02)
-        sim, vmm, guest = self.make_guest(config=config)
+        config = StopWatchConfig(replicas=1, delta_disk=0.02)
+        sim, vmm, guest = self.make_guest(config=config,
+                                          policy=StopWatchPolicy())
         done = []
         guest.schedule_at_instr(
             0, lambda: guest.disk_read(8, lambda: done.append(guest.now())))

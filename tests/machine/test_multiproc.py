@@ -7,6 +7,7 @@ import pytest
 from repro.cloud import Cloud
 from repro.core import DEFAULT, PASSTHROUGH
 from repro.machine import Host, MultiprocessorRuntime
+from repro.mitigation import PassthroughPolicy
 from repro.net import Network
 from repro.sim import Simulator, Trace
 from repro.vmm import ReplicaVMM
@@ -17,7 +18,8 @@ def make_guest(seed=1):
     sim = Simulator(seed=seed)
     network = Network(sim)
     host = Host(sim, 0, network, jitter_sigma=0.0)
-    vmm = ReplicaVMM(sim, host, "vm1", 0, PASSTHROUGH, random.Random(7))
+    vmm = ReplicaVMM(sim, host, "vm1", 0, PASSTHROUGH, random.Random(7),
+                     PassthroughPolicy())
     return sim, vmm, vmm.guest
 
 

@@ -9,7 +9,7 @@ from repro.analysis.mitigation import policy_signature
 from repro.cloud.fabric import Cloud
 from repro.core.config import DEFAULT
 from repro.faults import FaultInjector, FaultSchedule
-from repro.mitigation import POLICIES, make_policy
+from repro.mitigation import POLICIES
 from repro.sim.kernel import Simulator
 from repro.workloads.echo import EchoServer, PingClient
 
@@ -29,10 +29,8 @@ def _edge_fault_run(policy_name: str, seed: int = 9,
                     duration: float = 4.0):
     """A single-replica policy cell whose egress shard is partitioned
     mid-run and later healed, under steady client load."""
-    policy = make_policy(policy_name)
-    config = policy.configure(DEFAULT)
     sim = Simulator(seed=seed)
-    cloud = Cloud(sim, machines=1, config=config, policy=policy)
+    cloud = Cloud(sim, machines=1, config=DEFAULT, policy=policy_name)
     cloud.create_vm("echo", EchoServer)
     client = cloud.add_client("client:1")
     pinger = PingClient(client, "vm:echo",

@@ -1,5 +1,5 @@
 """Unit coverage of the mitigation-policy subsystem: registry,
-configure() shapes, and the hook arithmetic each policy promises."""
+deployment shapes, and the hook arithmetic each policy promises."""
 
 import math
 from types import SimpleNamespace
@@ -60,28 +60,30 @@ class TestRegistry:
             resolve_policy(42, DEFAULT)
 
 
-class TestConfigure:
-    def test_stopwatch_keeps_mediated_config_untouched(self):
-        assert StopWatchPolicy().configure(DEFAULT) is DEFAULT
+class TestDeploymentShape:
+    """Each policy's replica count and egress routing: the policy alone
+    decides both, whatever the config's replica count."""
 
-    def test_stopwatch_upgrades_passthrough(self):
-        config = StopWatchPolicy().configure(PASSTHROUGH)
-        assert config.mediate and config.egress_enabled
-        assert config.replicas >= 3
+    @pytest.mark.parametrize("config", [DEFAULT, PASSTHROUGH],
+                             ids=["default", "passthrough"])
+    def test_stopwatch_replicates_per_config(self, config):
+        policy = StopWatchPolicy()
+        assert policy.replica_count(config) == config.replicas
+        assert policy.coordinated
+        assert policy.egress
 
     @pytest.mark.parametrize("name", ["deterland", "uniform-noise"])
     def test_single_replica_policies_keep_egress(self, name):
-        config = make_policy(name).configure(DEFAULT)
-        assert config.replicas == 1
-        assert not config.mediate
-        assert config.egress_enabled
-        assert make_policy(name).replica_count(config) == 1
+        policy = make_policy(name)
+        assert policy.replica_count(DEFAULT) == 1
+        assert not policy.coordinated
+        assert policy.egress
 
     def test_passthrough_disables_everything(self):
-        config = PassthroughPolicy().configure(DEFAULT)
-        assert config.replicas == 1
-        assert not config.mediate
-        assert not config.egress_enabled
+        policy = PassthroughPolicy()
+        assert policy.replica_count(DEFAULT) == 1
+        assert not policy.coordinated
+        assert not policy.egress
 
 
 class TestStopWatchHooks:

@@ -8,6 +8,7 @@ from repro.machine import Host, MultiprocessorRuntime
 from repro.machine.multiproc import ThreadCrashed
 from repro.net import Network
 from repro.core import PASSTHROUGH
+from repro.mitigation import PassthroughPolicy
 from repro.sim import Simulator
 from repro.sim.errors import ProcessFailed
 from repro.vmm import ReplicaVMM
@@ -23,7 +24,8 @@ class TestHostDeathMidQuantum:
         sim = Simulator(seed=2)
         network = Network(sim)
         host = Host(sim, 0, network, jitter_sigma=0.0)
-        vmm = ReplicaVMM(sim, host, "vm1", 0, PASSTHROUGH, random.Random(7))
+        vmm = ReplicaVMM(sim, host, "vm1", 0, PASSTHROUGH,
+                         random.Random(7), PassthroughPolicy())
         guest = vmm.guest
 
         def killer():

@@ -6,18 +6,23 @@ import pytest
 
 from repro.core import PASSTHROUGH, StopWatchConfig
 from repro.machine import Host
+from repro.mitigation import PassthroughPolicy, StopWatchPolicy
 from repro.net import Network, Packet
 from repro.sim import Simulator
 from repro.vmm import ReplicaVMM
 
 
-def make_vmm(seed=1, config=None, **host_kwargs):
+def make_vmm(seed=1, config=None, policy=None, **host_kwargs):
     sim = Simulator(seed=seed)
     network = Network(sim)
     host = Host(sim, 0, network, jitter_sigma=0.0, **host_kwargs)
     vmm = ReplicaVMM(sim, host, "vm1", 0, config or PASSTHROUGH,
-                     random.Random(7))
+                     random.Random(7), policy or PassthroughPolicy())
     return sim, host, vmm
+
+
+#: one replica under the stopwatch policy, with no coordination group
+SINGLE = StopWatchConfig(replicas=1)
 
 
 def make_packet(dst="vm:vm1", proto="raw"):
@@ -26,8 +31,7 @@ def make_packet(dst="vm:vm1", proto="raw"):
 
 class TestEngine:
     def test_vm_exits_happen_at_interval(self):
-        config = StopWatchConfig(replicas=1, mediate=False,
-                                 egress_enabled=False,
+        config = StopWatchConfig(replicas=1,
                                  exit_interval_branches=100_000)
         sim, _, vmm = make_vmm(config=config)
         vmm.start()
@@ -56,15 +60,6 @@ class TestEngine:
         sim.run(until=0.1)
         # 250 Hz for ~0.1 virtual seconds
         assert 20 <= vmm.stats["timer_interrupts"] <= 30
-
-    def test_timer_interrupts_disabled(self):
-        config = StopWatchConfig(replicas=1, mediate=False,
-                                 egress_enabled=False,
-                                 timer_interrupts=False)
-        sim, _, vmm = make_vmm(config=config)
-        vmm.start()
-        sim.run(until=0.1)
-        assert vmm.stats["timer_interrupts"] == 0
 
 
 class TestBaselineInjection:
@@ -158,14 +153,14 @@ class TestPokeAtQuantumEnd:
 
 
 class TestMediatedSingleReplica:
-    """mediate=True with one replica: Δn applies with trivial medians --
-    exercised without the coordination machinery (coordination=None skips
-    the agreement, so use commit_network_delivery directly)."""
+    """The stopwatch policy on one replica: Δn applies with trivial
+    medians -- exercised without the coordination machinery
+    (coordination=None skips the agreement, so use
+    commit_network_delivery directly)."""
 
     def test_commit_delivers_at_virtual_deadline(self):
-        config = StopWatchConfig(replicas=1, mediate=True,
-                                 egress_enabled=False, delta_net=0.015)
-        sim, _, vmm = make_vmm(config=config)
+        config = SINGLE.with_overrides(delta_net=0.015)
+        sim, _, vmm = make_vmm(config=config, policy=StopWatchPolicy())
         got = []
         vmm.guest.register_protocol("raw",
                                     lambda p: got.append(vmm.guest.now()))
@@ -178,9 +173,7 @@ class TestMediatedSingleReplica:
         assert got[0] <= 0.020 + 2 * config.exit_interval_virtual
 
     def test_fifo_clamp_on_nonmonotonic_medians(self):
-        config = StopWatchConfig(replicas=1, mediate=True,
-                                 egress_enabled=False)
-        sim, _, vmm = make_vmm(config=config)
+        sim, _, vmm = make_vmm(config=SINGLE, policy=StopWatchPolicy())
         got = []
         vmm.guest.register_protocol(
             "raw", lambda p: got.append((p.payload, vmm.guest.now())))
@@ -197,10 +190,31 @@ class TestMediatedSingleReplica:
         assert [tag for tag, _ in got] == ["first", "second"]
         assert got[1][1] >= got[0][1]
 
+    def injection_instrs(self, commits):
+        """Instruction count at which each seq is injected when the
+        ``(seq, median)`` decisions are committed in ``commits`` order."""
+        sim, _, vmm = make_vmm(config=SINGLE, policy=StopWatchPolicy())
+        injected = {}
+        vmm.on_net_delivery = \
+            lambda seq, instr, packet: injected.setdefault(seq, instr)
+        vmm.guest.register_protocol("raw", lambda p: None)
+        vmm.start()
+        for order, (seq, median) in enumerate(commits, start=1):
+            sim.call_after(0.001 * order, vmm.commit_network_delivery,
+                           seq, median, make_packet())
+        sim.run(until=0.1)
+        return injected
+
+    def test_injection_independent_of_commit_order(self):
+        """Replica determinism (DESIGN §7): injections are a function of
+        the decided medians, not of the order a replica learns them."""
+        in_order = self.injection_instrs([(0, 0.020), (1, 0.030)])
+        reversed_order = self.injection_instrs([(1, 0.030), (0, 0.020)])
+        assert in_order == {0: 2_000_000, 1: 3_000_000}
+        assert reversed_order == in_order
+
     def test_divergence_detected_when_median_passed(self):
-        config = StopWatchConfig(replicas=1, mediate=True,
-                                 egress_enabled=False)
-        sim, _, vmm = make_vmm(config=config)
+        sim, _, vmm = make_vmm(config=SINGLE, policy=StopWatchPolicy())
         vmm.guest.register_protocol("raw", lambda p: None)
         vmm.start()
         sim.call_after(0.050, vmm.commit_network_delivery, 0, 0.001,
@@ -210,10 +224,9 @@ class TestMediatedSingleReplica:
         assert vmm.stats["net_interrupts"] == 1  # still delivered
 
     def test_disk_delta_d_wait_counted_when_too_small(self):
-        config = StopWatchConfig(replicas=1, mediate=True,
-                                 egress_enabled=False,
-                                 delta_disk=0.0001)  # far below access time
-        sim, _, vmm = make_vmm(config=config)
+        config = SINGLE.with_overrides(
+            delta_disk=0.0001)  # far below access time
+        sim, _, vmm = make_vmm(config=config, policy=StopWatchPolicy())
         done = []
         vmm.guest.schedule_at_instr(
             0, lambda: vmm.guest.disk_read(8, lambda: done.append(1)))
@@ -227,12 +240,11 @@ class TestEpochResyncSingle:
     def test_epoch_resync_tracks_real_time(self):
         """With resync on, a single replica's virtual clock follows its
         host's real clock despite a skewed initial slope."""
-        config = StopWatchConfig(
-            replicas=1, mediate=True, egress_enabled=False,
+        config = SINGLE.with_overrides(
             initial_slope=1.6e-8,              # virt runs 1.6x fast
             slope_range=(0.5e-8, 2e-8),
             epoch_instructions=1_000_000)      # resync every ~10 ms
-        sim, _, vmm = make_vmm(config=config)
+        sim, _, vmm = make_vmm(config=config, policy=StopWatchPolicy())
         vmm.start()
         sim.run(until=1.0)
         # after many epochs, virtual time should be near real time
@@ -297,9 +309,7 @@ class TestRestart:
         assert not vmm._engine_proc.triggered
 
     def run_restarted(self, wake_stale):
-        config = StopWatchConfig(replicas=1, mediate=True,
-                                 egress_enabled=False)
-        sim, _, vmm = make_vmm(config=config)
+        sim, _, vmm = make_vmm(config=SINGLE, policy=StopWatchPolicy())
         gate = vmm.coordination = _PacingGate(sim)
         vmm.start()
         sim.run(until=0.006)     # parked at the first pacing boundary
