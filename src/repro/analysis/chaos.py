@@ -253,7 +253,7 @@ def _cell_once(seed: int, scenario: str, duration: float,
         "violations": [str(v) for v in violations],
         "storm_events": len(storm),
         "faults_injected": len(injector.applied),
-        "noops": sim.metrics.counters.get("fault.noops", 0),
+        "noops": trace.count("fault.noop"),
         "evacuations": len(healer.evacuations),
         "rejoins": sum(1 for r in completes
                        if r.payload.get("mode") == "rejoin"),

@@ -4,11 +4,12 @@ Reads the representative echo+compute cloud run with causal flow
 tracking on (``run_observed_workload(flows=True)``, :mod:`repro.obs`)
 and reports where each packet's mediation delay went: per-stage
 latency percentiles, the slowest flows with their dominant stage, and
-per-flow span timelines.  Also registers the
-``flow_stage_latency`` campaign runner so stage-level percentiles can be
-rolled up across seeds by ``repro campaign aggregate``.
+per-flow span timelines (built from the flow records).  Also registers
+the ``flow_stage_latency`` campaign runner so stage-level percentiles
+can be rolled up across seeds by ``repro campaign aggregate``.
 """
 
+from collections import Counter
 from typing import List, Optional, Tuple
 
 from repro.analysis.observe import run_observed_workload
@@ -55,7 +56,7 @@ def flow_detail_rows(tracker: FlowTracker,
     flow = tracker.get_flow(flow_id)
     if flow is None:
         return None, []
-    spans = sorted(tracker.store.by_flow(flow.flow_id),
+    spans = sorted(flow.spans(),
                    key=lambda s: (s.start,
                                   -1 if s.replica is None else s.replica,
                                   s.span_id))
@@ -72,15 +73,17 @@ def flow_detail_rows(tracker: FlowTracker,
 
 
 def flow_summary(tracker: FlowTracker) -> dict:
-    """Tracker-level counts for the CLI headline."""
+    """Tracker-level counts for the CLI headline; ``span_names`` is
+    sorted (span name, count) pairs of the spans the flows make."""
+    spans = tracker.spans()
     return {
         "flows": len(tracker.flows),
         "complete": tracker.completed_count,
         "incomplete": tracker.incomplete_count(),
         "dropped_flows": tracker.dropped_flows,
-        "spans": len(tracker.store),
-        "open_spans": tracker.store.open_count(),
-        "dropped_spans": tracker.store.dropped,
+        "spans": len(spans),
+        "open_spans": sum(1 for span in spans if not span.closed),
+        "span_names": sorted(Counter(span.name for span in spans).items()),
         "nak_repairs": tracker.nak_repairs,
     }
 

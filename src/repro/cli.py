@@ -43,6 +43,7 @@ of them.
 
 import argparse
 import json
+import re
 import sys
 from typing import List
 
@@ -90,6 +91,13 @@ def _non_negative_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite number >= 0, got {text}")
     return value
+
+
+def _flow_id(text: str) -> str:
+    if not re.fullmatch(r".+/\d+", text):
+        raise argparse.ArgumentTypeError(
+            f"must be a flow id vm/seq (e.g. echo/3), got {text!r}")
+    return text
 
 
 def cmd_fig1(args) -> None:
@@ -219,11 +227,9 @@ def cmd_observe(args) -> None:
 
     summary = flow_summary(tracker)
     print(f"\nSpans: {summary['spans']} recorded "
-          f"({summary['open_spans']} open, "
-          f"{summary['dropped_spans']} dropped) across "
+          f"({summary['open_spans']} open) across "
           f"{summary['flows']} flows")
-    print(format_table(["span", "count"],
-                       sorted(tracker.store.name_counts().items())))
+    print(format_table(["span", "count"], summary["span_names"]))
     print(f"Flows: {summary['complete']} complete / {summary['flows']} "
           f"tracked ({summary['incomplete']} incomplete, "
           f"{summary['dropped_flows']} evicted, "
@@ -231,8 +237,9 @@ def cmd_observe(args) -> None:
     if args.flow:
         flow, rows = flow_detail_rows(tracker, args.flow)
         if flow is None:
-            raise SystemExit(f"unknown flow {args.flow!r} (ids look like "
-                             f"'echo/3'; try the slowest-flows table)")
+            print(f"error: unknown flow {args.flow!r} (ids look like "
+                  f"'echo/3'; try the slowest-flows table)", file=sys.stderr)
+            raise SystemExit(2)
         e2e = flow.end_to_end
         state = (f"end-to-end {e2e * 1000:.3f} ms"
                  if e2e is not None else "not yet released")
@@ -255,7 +262,7 @@ def cmd_observe(args) -> None:
         print("\n" + "\n".join(profile_lines(profile, top=args.top)))
         extra = counter_events(profile)
     if args.perfetto:
-        written = export_perfetto(tracker.store, args.perfetto,
+        written = export_perfetto(tracker.spans(), args.perfetto,
                                   extra_events=extra)
         print(f"\nExported {written} duration events to {args.perfetto} "
               f"(open in https://ui.perfetto.dev"
@@ -497,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="sample CPU by layer; with --perfetto, "
                         "merge counter tracks into the span trace")
-    p.add_argument("--flow", default=None, metavar="ID",
+    p.add_argument("--flow", type=_flow_id, default=None, metavar="ID",
                    help="show one flow's span timeline (e.g. echo/3)")
     p.add_argument("--top", type=_positive_int, default=10,
                    help="slowest flows and hottest functions to list")

@@ -90,7 +90,6 @@ class EgressNode:
             return
         down.add(replica_id)
         live = self.live_count(vm_name)
-        self.sim.metrics.incr("egress.degraded")
         self.sim.trace.record(self.sim.now, "egress.degraded",
                               vm=vm_name, replica=replica_id, live=live)
         self._retarget_vm(vm_name, self._live_floor(vm_name))
@@ -131,8 +130,6 @@ class EgressNode:
             self._envelopes[key] = envelope
             self._born[key] = self.sim.now
             self._schedule_sweep()
-        self.sim.flows.copy_arrived(self.sim.now, envelope.vm, envelope.seq,
-                                    envelope.replica_id)
         if release.arrive(envelope.replica_id, self.sim.now):
             self._release(key, trigger=envelope.replica_id)
         if release.complete:
@@ -191,7 +188,6 @@ class EgressNode:
         for key in stale:
             release = self._releases[key]
             self.stale_swept += 1
-            self.sim.metrics.incr("egress.stale")
             self.sim.trace.record(self.sim.now, "egress.stale",
                                   vm=key[0], seq=key[1],
                                   released=release.released_at is not None,

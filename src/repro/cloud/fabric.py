@@ -443,8 +443,7 @@ class Cloud:
         """NAK repair of an ingress datagram failed: this replica has
         permanently missed an inbound packet.  Its siblings' decided
         value (or a stale-agreement sweep) will eventually skip the
-        slot; here it is just counted and traced."""
-        self.sim.metrics.incr("fault.ingress_losses")
+        slot; here it is just traced."""
         self.sim.trace.record(self.sim.now, "fault.ingress_loss",
                               vm=vmm.vm_name, replica=vmm.replica_id,
                               seq=pgm_seq)

@@ -138,8 +138,6 @@ class EvacuationController:
                             detected_at, str(exc))
                 return
         elapsed = self.sim.now - detected_at
-        self.sim.metrics.incr(f"heal.{mode}s")
-        self.sim.metrics.observe("heal.recovery_time", elapsed)
         self.sim.trace.record(self.sim.now, "heal.complete",
                               vm=vm_name, replica=replica_id,
                               mode=mode, reason=reason, attempt=attempt,
@@ -171,7 +169,6 @@ class EvacuationController:
     def _retry(self, vm_name: str, replica_id: int, reason: str,
                attempt: int, detected_at: float, error: str) -> None:
         if attempt >= self.config.heal_max_attempts:
-            self.sim.metrics.incr("heal.failures")
             self.sim.trace.record(self.sim.now, "heal.failed",
                                   vm=vm_name, replica=replica_id,
                                   reason=reason, attempts=attempt,
@@ -330,7 +327,6 @@ class EvacuationController:
 
         new_vmm.start()
         new_vmm.coordination.announce_rejoin(floor=floor)
-        self.sim.metrics.incr("recovery.replays")
         self.evacuations.append({
             "time": self.sim.now, "vm": vm_name, "replica": replica_id,
             "reason": reason, "old_host": old_host.host_id,

@@ -90,7 +90,6 @@ class FaultInjector:
         self.sim.trace.record(self.sim.now, "fault.inject",
                               fault=event.fault, target=event.target,
                               **event.params)
-        self.sim.metrics.incr("fault.injected")
         handler = getattr(self, f"_do_{event.fault}")
         handler(event)
         self.applied.append(event)
@@ -100,7 +99,6 @@ class FaultInjector:
         event (crash of an already-dead replica, heal of a healthy
         host, ...): trace it and keep the campaign running instead of
         tearing the whole run down mid-flight."""
-        self.sim.metrics.incr("fault.noops")
         self.sim.trace.record(self.sim.now, "fault.noop",
                               fault=event.fault, target=event.target,
                               reason=reason)

@@ -96,7 +96,6 @@ def rejoin_replica(cloud, vm_name: str, replica_id: int) -> ReplayEngine:
                            source=survivor_id,
                            horizon=recording.horizon_instr,
                            outputs=len(engine.outputs))
-    cloud.sim.metrics.incr("recovery.replays")
 
     vmm.adopt_replay(engine)
     if replica_id < len(vm.workloads):

@@ -78,7 +78,6 @@ class Host:
         self.alive = False
         self.sim.trace.record(self.sim.now, "fault.host_down",
                               host=self.host_id)
-        self.sim.metrics.incr("fault.host_failures")
         self.network.isolate(self.address)
         for vmm in self.vmms:
             vmm.fail()

@@ -59,7 +59,6 @@ class Network:
 
     def _drop(self, packet, reason: str) -> None:
         self.dropped_packets += 1
-        self.sim.metrics.incr("net.dropped")
         self.sim.trace.record(self.sim.now, "net.drop", src=packet.src,
                               dst=packet.dst, protocol=packet.protocol,
                               reason=reason)

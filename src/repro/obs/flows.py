@@ -4,8 +4,12 @@ Every packet admitted at the ingress node becomes a **flow**, identified
 by the ``(vm, ingress sequence number)`` pair the
 :class:`~repro.net.packet.ReplicaEnvelope` already carries end-to-end.
 The pipeline components report stage transitions to the simulator-wide
-:class:`FlowTracker` (``sim.flows``), which opens and closes
-:class:`~repro.obs.spans.Span` objects per replica:
+:class:`FlowTracker` (``sim.flows``), which writes each boundary once,
+as a per-replica timestamp on the :class:`Flow` record.  The flow also
+keeps what each replica's VMM proposed, the decision it adopted and the
+virtual time of its injection.  :meth:`Flow.spans` builds the flow's
+:class:`Span` values from that record when something asks for them
+(the Perfetto export, ``repro observe --flow``):
 
 ``replicate``
     ingress admission -> the replica VMM observes the packet (PGM
@@ -43,7 +47,6 @@ default.
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.spans import SpanStore
 from repro.sim.monitor import MetricSet
 
 #: the critical-path stage taxonomy, in pipeline order
@@ -52,23 +55,70 @@ STAGES = ("replicate", "agree", "offset-wait", "service", "quorum-wait")
 _FlowKey = Tuple[str, int]
 
 
+class Span:
+    """One timed interval of a flow -- the Dapper model (PAPERS.md:
+    Sigelman et al.) cut down to what a deterministic simulator needs.
+    ``end`` is ``None`` while open; ``replica`` is ``None`` for the
+    fabric-side flow root; ``parent_id`` links a stage to its root."""
+
+    __slots__ = ("span_id", "parent_id", "name", "flow_id", "vm",
+                 "replica", "start", "end", "annotations")
+
+    def __init__(self, span_id: int, name: str, start: float,
+                 flow_id: Optional[str] = None, vm: Optional[str] = None,
+                 replica: Optional[int] = None,
+                 parent_id: Optional[int] = None,
+                 annotations: Optional[Dict[str, Any]] = None,
+                 end: Optional[float] = None):
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.flow_id = flow_id
+        self.vm = vm
+        self.replica = replica
+        self.start = start
+        self.end = end
+        self.annotations: Dict[str, Any] = annotations or {}
+
+    @property
+    def closed(self) -> bool:
+        return self.end is not None
+
+    @property
+    def duration(self) -> Optional[float]:
+        return None if self.end is None else self.end - self.start
+
+    def __repr__(self) -> str:
+        state = (f"dur={self.duration:.6f}" if self.closed else "open")
+        return (f"<Span #{self.span_id} {self.name} flow={self.flow_id} "
+                f"r={self.replica} {state}>")
+
+
 class Flow:
     """One inbound packet's journey through the mediation pipeline."""
 
     __slots__ = ("vm", "seq", "admitted", "replicas", "observed",
-                 "committed", "injected", "emits", "first_emit",
-                 "released", "release_replica", "released_out_seq",
-                 "copies", "releases", "outputs", "out_seqs",
-                 "annotations", "span_ids", "open_keys", "skipped")
+                 "proposals", "committed", "decisions", "injected",
+                 "virts", "skipped", "emits", "first_emit", "released",
+                 "release_replica", "released_out_seq", "releases",
+                 "outputs", "out_seqs", "annotations")
 
     def __init__(self, vm: str, seq: int, admitted: float, replicas: int):
         self.vm = vm
         self.seq = seq
         self.admitted = admitted
         self.replicas = replicas
+        #: replica -> observation time, and the delivery time it proposed
         self.observed: Dict[int, float] = {}
+        self.proposals: Dict[int, Optional[float]] = {}
+        #: replica -> commit time, and the delivery time it adopted
         self.committed: Dict[int, float] = {}
+        self.decisions: Dict[int, float] = {}
+        #: replica -> injection time, its virtual time, and whether the
+        #: slot was skipped (the replica never saw the packet)
         self.injected: Dict[int, float] = {}
+        self.virts: Dict[int, float] = {}
+        self.skipped: Dict[int, bool] = {}
         #: (replica, out_seq) -> emission time, tracked until release
         self.emits: Dict[Tuple[int, int], float] = {}
         #: replica -> (time, out_seq) of its first attributed output
@@ -76,15 +126,10 @@ class Flow:
         self.released: Optional[float] = None
         self.release_replica: Optional[int] = None
         self.released_out_seq: Optional[int] = None
-        self.copies = 0          # output copies arrived at egress
         self.releases = 0        # egress forwards attributed to this flow
         self.outputs = 0         # guest outputs attributed to this flow
         self.out_seqs: List[int] = []
         self.annotations: Dict[str, Any] = {}
-        #: (replica-or-None, span name) -> span id, for every span opened
-        self.span_ids: Dict[Tuple[Optional[int], str], Optional[int]] = {}
-        self.open_keys: set = set()
-        self.skipped: Dict[int, bool] = {}
 
     @property
     def key(self) -> _FlowKey:
@@ -126,6 +171,73 @@ class Flow:
             "quorum-wait": self.released - emit,
         }
 
+    def spans(self, first_id: int = 0) -> List[Span]:
+        """The flow's spans, built from its record: the ``flow`` root
+        (numbered ``first_id``) and then the stage spans in
+        :data:`STAGES` order, one per replica that reached the stage,
+        each parented on the root.
+
+        A span is open until its closing boundary is recorded.  An
+        ``agree`` span closes only if the replica observed the packet
+        no later than it adopted the decision (a replica that missed
+        the datagram adopts first and observes on repair); ``service``
+        spans close only once the flow is released.  Once the release
+        replica's emission of the released output is recorded, its
+        spans carry ``critical=True`` and it gets a ``quorum-wait``
+        span."""
+        out_seq = self.released_out_seq
+        critical = self.release_replica
+        if self.released is None or (critical, out_seq) not in self.emits:
+            critical = None
+        root: Dict[str, Any] = {"seq": self.seq, **self.annotations}
+        if self.released is not None:
+            root["releases"] = 1
+            if critical is not None:
+                root["critical_replica"] = critical
+        spans = [Span(first_id, "flow", self.admitted, self.flow_id,
+                      self.vm, None, None, root, end=self.released)]
+
+        def add(name: str, replica: int, start: float,
+                end: Optional[float], **notes: Any) -> None:
+            if replica == critical:
+                notes["critical"] = True
+            spans.append(Span(first_id + len(spans), name, start,
+                              self.flow_id, self.vm, replica, first_id,
+                              notes, end=end))
+
+        for r in range(self.replicas):
+            add("replicate", r, self.admitted, self.observed.get(r))
+        for r, seen in sorted(self.observed.items()):
+            committed = self.committed.get(r)
+            if committed is not None and seen <= committed:
+                add("agree", r, seen, committed,
+                    proposal=self.proposals[r], decision=self.decisions[r])
+            else:
+                add("agree", r, seen, None, proposal=self.proposals[r])
+        for r, committed in sorted(self.committed.items()):
+            if r in self.injected:
+                add("offset-wait", r, committed, self.injected[r],
+                    decision=self.decisions[r], virt=self.virts[r],
+                    skipped=self.skipped[r])
+            else:
+                add("offset-wait", r, committed, None,
+                    decision=self.decisions[r])
+        for r, injected in sorted(self.injected.items()):
+            if self.skipped[r]:
+                continue
+            if self.released is None or r not in self.first_emit:
+                add("service", r, injected, None)
+            elif (r, out_seq) in self.emits:
+                add("service", r, injected, self.emits[(r, out_seq)],
+                    out_seq=out_seq)
+            else:
+                first_t, first_out = self.first_emit[r]
+                add("service", r, injected, first_t, out_seq=first_out)
+        if critical is not None:
+            add("quorum-wait", critical, self.emits[(critical, out_seq)],
+                self.released, out_seq=out_seq)
+        return spans
+
     def __repr__(self) -> str:
         state = ("complete" if self.complete
                  else "released" if self.released is not None else "open")
@@ -136,28 +248,28 @@ class FlowTracker:
     """The simulator-wide flow registry (``sim.flows``).
 
     Off by default: every hook starts with a single ``enabled`` test, so
-    the instrumented pipeline costs one predicate per event when span
-    tracking is not requested.  When enabled, hooks only append to
-    tracker/span state -- they never touch the event queue or any RNG,
-    so seeded runs are bit-identical with tracking on or off.
+    the instrumented pipeline costs one predicate per event when flow
+    tracking is not requested.  When enabled, hooks only write
+    timestamps (and the proposal, decision and injection virtual time)
+    into the flow's record -- they never touch the event queue or any
+    RNG, so seeded runs are bit-identical with tracking on or off.
+    Spans are not stored: :meth:`spans` builds them from the records.
 
-    ``max_flows`` bounds retained flows: admitting a flow beyond the cap
-    evicts the oldest retained flow (and its spans), counted in
-    :attr:`dropped_flows` -- the same bounded-memory contract as
-    :class:`~repro.sim.monitor.Trace`.
+    ``max_flows`` bounds retained flows, and so all tracking memory:
+    admitting a flow beyond the cap evicts the oldest retained flow,
+    counted in :attr:`dropped_flows` -- the same bounded-memory contract
+    as :class:`~repro.sim.monitor.Trace`.
     """
 
-    __slots__ = ("enabled", "max_flows", "store", "flows", "dropped_flows",
+    __slots__ = ("enabled", "max_flows", "flows", "dropped_flows",
                  "completed_count", "released_count", "nak_repairs",
                  "_out_index")
 
-    def __init__(self, enabled: bool = False, max_flows: int = 65_536,
-                 max_spans: int = 524_288):
+    def __init__(self, enabled: bool = False, max_flows: int = 65_536):
         if max_flows <= 0:
             raise ValueError(f"max_flows must be positive, got {max_flows}")
         self.enabled = enabled
         self.max_flows = max_flows
-        self.store = SpanStore(max_spans=max_spans)
         self.flows: Dict[_FlowKey, Flow] = {}
         self.dropped_flows = 0
         self.completed_count = 0
@@ -165,45 +277,19 @@ class FlowTracker:
         self.nak_repairs = 0
         self._out_index: Dict[Tuple[str, int], _FlowKey] = {}
 
-    def enable(self, max_flows: Optional[int] = None,
-               max_spans: Optional[int] = None) -> "FlowTracker":
-        """Turn tracking on (optionally re-capping the stores)."""
+    def enable(self, max_flows: Optional[int] = None) -> "FlowTracker":
+        """Turn tracking on (optionally re-capping the retained flows)."""
         if max_flows is not None:
             if max_flows <= 0:
                 raise ValueError(
                     f"max_flows must be positive, got {max_flows}")
             self.max_flows = max_flows
-        if max_spans is not None:
-            self.store.max_spans = max_spans
         self.enabled = True
         return self
-
-    # ------------------------------------------------------------------
-    # span plumbing
-    # ------------------------------------------------------------------
-    def _open(self, flow: Flow, name: str, time: float,
-              replica: Optional[int], **annotations: Any) -> None:
-        parent = flow.span_ids.get((None, "flow"))
-        sid = self.store.start(name, time, flow_id=flow.flow_id,
-                               vm=flow.vm, replica=replica,
-                               parent_id=parent, **annotations)
-        flow.span_ids[(replica, name)] = sid
-        flow.open_keys.add((replica, name))
-
-    def _close(self, flow: Flow, name: str, time: float,
-               replica: Optional[int], **annotations: Any) -> bool:
-        key = (replica, name)
-        if key not in flow.open_keys:
-            return False
-        flow.open_keys.discard(key)
-        self.store.finish(flow.span_ids.get(key), time, **annotations)
-        return True
 
     def _evict_oldest(self) -> None:
         key = next(iter(self.flows))
         flow = self.flows.pop(key)
-        for sid in flow.span_ids.values():
-            self.store.discard(sid)
         for out_seq in flow.out_seqs:
             self._out_index.pop((flow.vm, out_seq), None)
         self.dropped_flows += 1
@@ -220,12 +306,6 @@ class FlowTracker:
             self._evict_oldest()
         flow = Flow(vm, seq, time, replicas)
         self.flows[flow.key] = flow
-        sid = self.store.start("flow", time, flow_id=flow.flow_id, vm=vm,
-                               replica=None, seq=seq)
-        flow.span_ids[(None, "flow")] = sid
-        flow.open_keys.add((None, "flow"))
-        for replica in range(replicas):
-            self._open(flow, "replicate", time, replica)
 
     def repair_requested(self, time: float, group: str, seq: int) -> None:
         """A PGM receiver NAKed a gap.  For ingress replication groups
@@ -240,8 +320,6 @@ class FlowTracker:
         if flow is None:
             return
         flow.annotations["naks"] = flow.annotations.get("naks", 0) + 1
-        self.store.annotate(flow.span_ids.get((None, "flow")),
-                            naks=flow.annotations["naks"])
 
     def packet_observed(self, time: float, vm: str, seq: int, replica: int,
                         proposal: Optional[float] = None) -> None:
@@ -253,8 +331,7 @@ class FlowTracker:
         if flow is None or replica in flow.observed:
             return
         flow.observed[replica] = time
-        self._close(flow, "replicate", time, replica)
-        self._open(flow, "agree", time, replica, proposal=proposal)
+        flow.proposals[replica] = proposal
 
     def decision_committed(self, time: float, vm: str, seq: int,
                            replica: int, decision: float) -> None:
@@ -266,11 +343,7 @@ class FlowTracker:
         if flow is None or replica in flow.committed:
             return
         flow.committed[replica] = time
-        if not self._close(flow, "agree", time, replica, decision=decision):
-            # decided before this replica ever observed the packet (it
-            # missed the datagram): there is no agree span to close
-            pass
-        self._open(flow, "offset-wait", time, replica, decision=decision)
+        flow.decisions[replica] = decision
 
     def net_injected(self, time: float, vm: str, seq: int, replica: int,
                      virt: float, skipped: bool = False) -> None:
@@ -282,11 +355,8 @@ class FlowTracker:
         if flow is None or replica in flow.injected:
             return
         flow.injected[replica] = time
+        flow.virts[replica] = virt
         flow.skipped[replica] = skipped
-        self._close(flow, "offset-wait", time, replica, virt=virt,
-                    skipped=skipped)
-        if not skipped:
-            self._open(flow, "service", time, replica)
 
     def output_emitted(self, time: float, vm: str, out_seq: int,
                        replica: int, flow_seq: Optional[int]) -> None:
@@ -306,18 +376,6 @@ class FlowTracker:
             flow.out_seqs.append(out_seq)
         flow.emits[(replica, out_seq)] = time
         flow.first_emit.setdefault(replica, (time, out_seq))
-
-    def copy_arrived(self, time: float, vm: str, out_seq: int,
-                     replica: int) -> None:
-        """One replica's copy of an output reached the egress node."""
-        if not self.enabled:
-            return
-        key = self._out_index.get((vm, out_seq))
-        if key is None:
-            return
-        flow = self.flows.get(key)
-        if flow is not None:
-            flow.copies += 1
 
     def output_released(self, time: float, vm: str, out_seq: int,
                         replica: Optional[int]) -> None:
@@ -339,34 +397,6 @@ class FlowTracker:
         flow.released = time
         flow.release_replica = replica
         flow.released_out_seq = out_seq
-        self._complete(flow, time, out_seq)
-
-    # ------------------------------------------------------------------
-    # completion: close service spans, build quorum-wait, mark critical
-    # ------------------------------------------------------------------
-    def _complete(self, flow: Flow, time: float, out_seq: int) -> None:
-        for replica, (first_t, first_out) in sorted(flow.first_emit.items()):
-            emit = flow.emits.get((replica, out_seq))
-            end = emit if emit is not None else first_t
-            self._close(flow, "service", end, replica,
-                        out_seq=out_seq if emit is not None else first_out)
-        self._close(flow, "flow", time, None, releases=1)
-        critical = flow.release_replica
-        if critical is not None and (critical, out_seq) in flow.emits:
-            emit = flow.emits[(critical, out_seq)]
-            sid = self.store.start("quorum-wait", emit,
-                                   flow_id=flow.flow_id, vm=flow.vm,
-                                   replica=critical, out_seq=out_seq,
-                                   parent_id=flow.span_ids.get(
-                                       (None, "flow")),
-                                   critical=True)
-            self.store.finish(sid, time)
-            flow.span_ids[(critical, "quorum-wait")] = sid
-            for stage in ("replicate", "agree", "offset-wait", "service"):
-                self.store.annotate(
-                    flow.span_ids.get((critical, stage)), critical=True)
-            self.store.annotate(flow.span_ids.get((None, "flow")),
-                                critical_replica=critical)
         if flow.complete:
             self.completed_count += 1
 
@@ -380,12 +410,18 @@ class FlowTracker:
         if flow is None:
             return
         flow.annotations.update(annotations)
-        self.store.annotate(flow.span_ids.get((None, "flow")),
-                            **annotations)
 
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
+    def spans(self) -> List[Span]:
+        """Every retained flow's spans, built from the flow records;
+        ids number them in flow admission order."""
+        spans: List[Span] = []
+        for flow in self.flows.values():
+            spans.extend(flow.spans(first_id=len(spans)))
+        return spans
+
     def completed_flows(self) -> List[Flow]:
         """Flows with a full critical path, in admission order."""
         return [flow for flow in self.flows.values() if flow.complete]

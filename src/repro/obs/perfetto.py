@@ -1,4 +1,4 @@
-"""Chrome trace-event export for span stores.
+"""Chrome trace-event export for flow spans.
 
 Emits the JSON array format that Perfetto and ``chrome://tracing``
 consume directly: one complete ``"ph": "X"`` duration event per closed
@@ -18,7 +18,7 @@ serialization bug cannot hide behind a passing in-memory test.
 import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.spans import Span
+from repro.obs.flows import Span
 
 #: fabric-side spans (no replica) are grouped under this pid
 FABRIC_PID = 0

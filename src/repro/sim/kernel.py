@@ -181,7 +181,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0, trace=None):
         from repro.sim.rng import RngRegistry
-        from repro.sim.monitor import MetricSet, Trace
+        from repro.sim.monitor import Trace
         from repro.obs.flows import FlowTracker
 
         self.now: float = 0.0
@@ -195,9 +195,6 @@ class Simulator:
 
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else Trace()
-        #: simulation-wide counters/observations (fault and recovery
-        #: bookkeeping records here even when tracing is disabled)
-        self.metrics = MetricSet()
         #: causal flow/span tracking (repro.obs); off by default -- every
         #: pipeline hook is a single predicate test until enabled
         self.flows = FlowTracker(enabled=False)
@@ -365,7 +362,6 @@ class Simulator:
             else 0.0,
             "trace_records": len(self.trace),
             "trace_dropped": getattr(self.trace, "dropped", 0),
-            "metric_counters": dict(self.metrics.counters),
         }
 
     def __repr__(self) -> str:

@@ -195,7 +195,6 @@ class ReplicaCoordination:
                                   vm=self.vm_name, replica=self.replica_id,
                                   seq=seq,
                                   proposals=len(agreement.proposals))
-            self.sim.metrics.incr("fault.degraded_agreements")
         flows = self.sim.flows
         if flows.enabled:
             flows.flow_annotate(self.vm_name, seq,
@@ -354,7 +353,6 @@ class ReplicaCoordination:
         traced, and fed to the suspicion path -- an unrepairable stream
         is the strongest failure evidence short of silence."""
         self.stream_losses[replica_id] += 1
-        self.sim.metrics.incr("fault.pgm_losses")
         self.sim.trace.record(self.sim.now, "fault.pgm_loss",
                               vm=self.vm_name, observer=self.replica_id,
                               replica=replica_id, seq=pgm_seq)
@@ -366,7 +364,6 @@ class ReplicaCoordination:
             return
         self.live[replica_id] = False
         self.live_expected -= 1
-        self.sim.metrics.incr("fault.suspicions")
         self.sim.trace.record(self.sim.now, "fault.suspect",
                               vm=self.vm_name, observer=self.replica_id,
                               replica=replica_id, reason=reason)
@@ -381,7 +378,6 @@ class ReplicaCoordination:
         self.live[replica_id] = True
         self.live_expected += 1
         self.last_heard[replica_id] = self.sim.now
-        self.sim.metrics.incr("recovery.rejoins_seen")
         self.sim.trace.record(self.sim.now, "recovery.rejoin",
                               vm=self.vm_name, observer=self.replica_id,
                               replica=replica_id)
@@ -414,7 +410,6 @@ class ReplicaCoordination:
         pending = sorted(seq for seq in self._decisions if seq >= floor)
         if not pending:
             return
-        self.sim.metrics.incr("heal.catchup_pushes")
         self.sim.trace.record(self.sim.now, "heal.catchup",
                               vm=self.vm_name, observer=self.replica_id,
                               replica=replica_id, floor=floor,
@@ -476,7 +471,6 @@ class ReplicaCoordination:
             self._agreements.pop(seq, None)
             self._agreement_born.pop(seq, None)
             packet = self._packets.pop(seq, None)
-            self.sim.metrics.incr("fault.stale_agreements")
             self.sim.trace.record(self.sim.now, "fault.stale_agreement",
                                   vm=self.vm_name, replica=self.replica_id,
                                   seq=seq, had_packet=packet is not None)

@@ -526,7 +526,6 @@ class ReplicaVMM:
 
         self.failed = False
         self.stats["outputs"] = self._out_seq
-        self.sim.metrics.incr("recovery.adoptions")
         self.sim.trace.record(self.sim.now, "recovery.adopt",
                               vm=self.vm_name, replica=self.replica_id,
                               instr=self.instr, net_floor=floor,

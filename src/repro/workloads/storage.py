@@ -766,7 +766,6 @@ class RepairDaemon:
                                   "storage.repair.complete",
                                   share=index, objects=len(objects),
                                   repaired_bytes=self.repaired_bytes)
-            self.sim.metrics.incr("storage.repairs")
             return
         obj = objects[cursor]
         self.client.get_object(
@@ -790,7 +789,6 @@ class RepairDaemon:
     def _share_restored(self, index: int, objects: List[str],
                         cursor: int, share: bytes) -> None:
         self.repaired_bytes += len(share)
-        self.sim.metrics.incr("storage.repaired_bytes", len(share))
         self.sim.trace.record(self.sim.now, "storage.repair.share",
                               share=index, obj=objects[cursor],
                               bytes=len(share))

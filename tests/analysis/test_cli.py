@@ -61,6 +61,9 @@ class TestParser:
         (["campaign", "run", "spec.toml", "--timeout", "nan"], "--timeout"),
         (["campaign", "resume", "spec.toml", "--timeout", "inf"],
          "--timeout"),
+        (["observe", "--flow", "echo"], "--flow"),
+        (["observe", "--flow", "echo/x"], "--flow"),
+        (["observe", "--flow", "/3"], "--flow"),
     ])
     def test_bad_numbers_exit_2_naming_the_option(self, argv, option,
                                                   capsys):
@@ -259,9 +262,10 @@ class TestExecution:
                         "Flows:", "Flow echo/1:"):
             assert heading in text
 
-    def test_observe_unknown_flow_exits_1_with_id_hint(self):
+    def test_observe_unknown_flow_exits_2_with_id_hint(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["observe", "--duration", "0.3", "--flow", "no/999"])
-        # a message exit: the interpreter prints it and exits 1
-        message = exit_.value.code
-        assert "unknown flow 'no/999'" in message and "echo/3" in message
+        assert exit_.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: unknown flow 'no/999'")
+        assert "echo/3" in line

@@ -96,7 +96,7 @@ class TestStaleSweep:
         sim.run(until=2.0)             # several sweep periods later
         assert egress.pending_releases == 0
         assert egress.stale_swept == 40
-        assert sim.metrics.counters["egress.stale"] == 40
+        assert sim.trace.count("egress.stale") == 40
 
     def test_sweep_traces_release_state(self):
         sim, egress, out = make_egress(stale_timeout=0.2)

@@ -60,7 +60,7 @@ class TestInjection:
         assert vm.vmms[1].failed
         assert cloud.network.is_isolated("host:1")
         assert len(injector.applied) == 1
-        assert sim.metrics.counters["fault.injected"] == 1
+        assert sim.trace.count("fault.inject") == 1
 
     def test_partition_and_heal(self):
         sim, cloud, _ = make_cloud()

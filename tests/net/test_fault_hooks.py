@@ -26,7 +26,7 @@ class TestNetworkDrops:
         sim.run(until=0.1)
         assert inbox == []
         assert net.dropped_packets == 1
-        assert sim.metrics.counters["net.dropped"] == 1
+        assert sim.trace.count("net.drop") == 1
         (record,) = sim.trace.iter_records("net.drop")
         assert record.payload["reason"] == "isolated"
         assert record.payload["dst"] == "b"

@@ -6,6 +6,9 @@ seed), and every completed flow's five-stage decomposition sums
 *exactly* -- not approximately -- to its end-to-end mediation delay.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis.flows import (flow_detail_rows, flow_stage_rows,
@@ -80,6 +83,32 @@ class TestStageDecomposition:
         assert rows["offset-wait"][2] > 0.5 * rows["total"][2]
 
 
+def span_fingerprint(spans) -> str:
+    """SHA-256 over every span's flow, name, replica, exact times and
+    annotations, independent of span order and ids."""
+    rows = sorted((s.flow_id, s.name, -1 if s.replica is None else s.replica,
+                   repr(s.start), repr(s.end),
+                   json.dumps(s.annotations, sort_keys=True, default=repr))
+                  for s in spans)
+    return hashlib.sha256(
+        json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestRecordedSpans:
+    def test_flow_records_rebuild_the_recorded_spans(self, traced_sim):
+        """The seed-5, 1 s run's flows and spans, pinned to the values
+        recorded when spans were still stored as the hooks fired."""
+        tracker = traced_sim.flows
+        spans = tracker.spans()
+        assert len(tracker.flows) == 72
+        assert len(tracker.completed_flows()) == 71
+        assert len(spans) == 1005
+        assert sum(1 for span in spans if not span.closed) == 6
+        assert span_fingerprint(spans) == (
+            "e3009996d5cd1d11005d9fe9a3dc2e7b"
+            "ba3fe23b9cc97150f011d876a328569b")
+
+
 class TestAnalysisViews:
     def test_summary_counts_are_consistent(self, traced_sim):
         summary = flow_summary(traced_sim.flows)
@@ -87,8 +116,8 @@ class TestAnalysisViews:
                                     + summary["incomplete"])
         assert summary["complete"] >= 10
         assert summary["dropped_flows"] == 0
-        assert summary["dropped_spans"] == 0
         assert summary["spans"] > summary["flows"]
+        assert sum(n for _, n in summary["span_names"]) == summary["spans"]
 
     def test_slowest_flows_are_sorted_and_decomposed(self, traced_sim):
         rows = slowest_flow_rows(traced_sim.flows, top_k=5)

@@ -23,7 +23,6 @@ def _drive_flow(tracker, vm="echo", seq=0, trigger=1, out_seq=0):
     for replica in range(3):
         tracker.output_emitted(0.0105 + replica * 1e-4, vm, out_seq,
                                replica, flow_seq=seq)
-        tracker.copy_arrived(0.011 + replica * 1e-4, vm, out_seq, replica)
     tracker.output_released(0.012, vm, out_seq, trigger)
     return tracker.flows.get((vm, seq))
 
@@ -33,17 +32,16 @@ class TestDisabled:
         tracker = FlowTracker(enabled=False)
         _drive_flow(tracker)
         assert len(tracker.flows) == 0
-        assert len(tracker.store) == 0
+        assert tracker.spans() == []
         tracker.repair_requested(0.0, "ingress.echo", 0)
         tracker.flow_annotate("echo", 0, naks=1)
         assert tracker.nak_repairs == 0
 
     def test_enable_recaps_stores(self):
         tracker = FlowTracker()
-        tracker.enable(max_flows=4, max_spans=9)
+        tracker.enable(max_flows=4)
         assert tracker.enabled
         assert tracker.max_flows == 4
-        assert tracker.store.max_spans == 9
         with pytest.raises(ValueError):
             tracker.enable(max_flows=0)
 
@@ -71,12 +69,12 @@ class TestCompleteFlow:
     def test_critical_spans_marked_on_trigger_replica(self):
         tracker = FlowTracker(enabled=True)
         flow = _drive_flow(tracker, trigger=1)
-        critical = [span for span in tracker.store
+        root, *stages = flow.spans()
+        critical = [span for span in stages
                     if span.annotations.get("critical")]
         assert sorted(span.name for span in critical) == sorted(STAGES)
         assert all(span.replica == 1 for span in critical)
-        root = tracker.store.get(flow.span_ids[(None, "flow")])
-        assert root.closed
+        assert root.name == "flow" and root.closed
         assert root.annotations["critical_replica"] == 1
         # every stage span is parented on the flow root
         assert all(span.parent_id == root.span_id for span in critical)
@@ -84,7 +82,7 @@ class TestCompleteFlow:
     def test_all_spans_closed_after_completion(self):
         tracker = FlowTracker(enabled=True)
         _drive_flow(tracker)
-        assert tracker.store.open_count() == 0
+        assert all(span.closed for span in tracker.spans())
         assert tracker.completed_count == 1
         assert tracker.completed_flows() != []
 
@@ -111,7 +109,7 @@ class TestDegradedPaths:
         tracker.flow_admitted(0.0, "echo", 0, replicas=3)
         tracker.decision_committed(0.002, "echo", 0, 2, decision=0.01)
         tracker.net_injected(0.010, "echo", 0, 2, virt=0.01)
-        names = {(s.replica, s.name) for s in tracker.store}
+        names = {(s.replica, s.name) for s in tracker.spans()}
         assert (2, "agree") not in names
         assert (2, "offset-wait") in names
         assert (2, "service") in names
@@ -123,7 +121,29 @@ class TestDegradedPaths:
         tracker.net_injected(0.010, "echo", 0, 0, virt=0.01, skipped=True)
         flow = tracker.flows[("echo", 0)]
         assert flow.skipped[0] is True
-        assert (0, "service") not in flow.span_ids
+        assert (0, "service") not in {(s.replica, s.name)
+                                      for s in flow.spans()}
+
+    def test_observation_after_adoption_leaves_agree_open(self):
+        """A replica that adopted the decision before the repaired
+        datagram reached it has an open agree span that carries only its
+        proposal; the flow still keeps what it proposed and adopted."""
+        tracker = FlowTracker(enabled=True)
+        tracker.flow_admitted(0.0, "echo", 0, replicas=3)
+        tracker.decision_committed(0.002, "echo", 0, 2, decision=0.01)
+        tracker.packet_observed(0.003, "echo", 0, 2, proposal=0.004)
+        tracker.net_injected(0.010, "echo", 0, 2, virt=0.0101)
+        flow = tracker.flows[("echo", 0)]
+        assert (flow.proposals[2], flow.decisions[2], flow.virts[2]) == \
+            (0.004, 0.01, 0.0101)
+        spans = {(s.replica, s.name): s for s in flow.spans()}
+        agree = spans[(2, "agree")]
+        assert agree.start == 0.003 and not agree.closed
+        assert agree.annotations == {"proposal": 0.004}
+        wait = spans[(2, "offset-wait")]
+        assert (wait.start, wait.end) == (0.002, 0.010)
+        assert wait.annotations == {"decision": 0.01, "virt": 0.0101,
+                                    "skipped": False}
 
     def test_retarget_release_has_no_critical_path(self):
         """A degraded retarget release passes ``replica=None``: the flow
@@ -147,7 +167,6 @@ class TestDegradedPaths:
         tracker = FlowTracker(enabled=True)
         tracker.flow_admitted(0.0, "echo", 0, replicas=3)
         tracker.output_emitted(0.01, "echo", 7, 0, flow_seq=None)
-        tracker.copy_arrived(0.01, "echo", 7, 0)
         tracker.output_released(0.01, "echo", 7, 0)
         flow = tracker.flows[("echo", 0)]
         assert flow.outputs == 0 and flow.released is None
@@ -169,7 +188,7 @@ class TestAttribution:
         tracker.flow_admitted(0.0, "echo", 0, replicas=3)
         tracker.flow_annotate("echo", 0, spread=0.004, degraded=False)
         flow = tracker.flows[("echo", 0)]
-        root = tracker.store.get(flow.span_ids[(None, "flow")])
+        root = flow.spans()[0]
         assert flow.annotations["spread"] == 0.004
         assert root.annotations["degraded"] is False
 
@@ -191,7 +210,7 @@ class TestEviction:
         assert sorted(seq for _, seq in tracker.flows) == [2, 3]
         assert tracker.dropped_flows == 2
         # the evicted flows' spans (1 root + 3 replicate each) are gone
-        assert len(tracker.store) == 2 * 4
+        assert len(tracker.spans()) == 2 * 4
 
     def test_eviction_clears_the_output_index(self):
         tracker = FlowTracker(enabled=True, max_flows=1)

@@ -5,27 +5,26 @@ import os
 
 import pytest
 
+from repro.obs.flows import Span
 from repro.obs.perfetto import (FABRIC_PID, export_perfetto,
                                 perfetto_events, validate_file,
                                 validate_perfetto)
-from repro.obs.spans import SpanStore
 
 
-def _store_with_flow():
+def _spans_with_flow():
     """A completed two-span flow plus one open span (must be skipped)."""
-    store = SpanStore()
-    root = store.start("flow", 1.0, flow_id="echo/0", vm="echo")
-    store.finish(root, 1.010)
-    child = store.start("replicate", 1.0, flow_id="echo/0", vm="echo",
-                        replica=1, parent_id=root)
-    store.finish(child, 1.002, critical=True)
-    store.start("agree", 1.002, flow_id="echo/0", vm="echo", replica=1)
-    return store
+    root = Span(0, "flow", 1.0, flow_id="echo/0", vm="echo", end=1.010)
+    child = Span(1, "replicate", 1.0, flow_id="echo/0", vm="echo",
+                 replica=1, parent_id=0, annotations={"critical": True},
+                 end=1.002)
+    agree = Span(2, "agree", 1.002, flow_id="echo/0", vm="echo",
+                 replica=1, parent_id=0)
+    return [root, child, agree]
 
 
 class TestEventSynthesis:
     def test_replicas_become_pids_and_vms_become_tids(self):
-        events = perfetto_events(_store_with_flow())
+        events = perfetto_events(_spans_with_flow())
         x = [e for e in events if e["ph"] == "X"]
         assert [e["name"] for e in x] == ["flow", "replicate"]
         assert x[0]["pid"] == FABRIC_PID       # fabric-side root
@@ -38,13 +37,13 @@ class TestEventSynthesis:
         assert ("thread_name", "vm echo") in names
 
     def test_timestamps_are_microseconds(self):
-        x = [e for e in perfetto_events(_store_with_flow())
+        x = [e for e in perfetto_events(_spans_with_flow())
              if e["ph"] == "X"]
         assert x[0]["ts"] == 1.0 * 1e6
         assert x[0]["dur"] == pytest.approx(0.010 * 1e6)
 
     def test_open_spans_are_skipped_and_args_carry_causality(self):
-        events = perfetto_events(_store_with_flow())
+        events = perfetto_events(_spans_with_flow())
         assert all(e["name"] != "agree" for e in events)
         child = [e for e in events if e.get("name") == "replicate"][0]
         assert child["args"]["flow"] == "echo/0"
@@ -98,7 +97,7 @@ class TestValidator:
 class TestRealExport:
     def test_exported_workload_trace_validates(self, traced_sim, tmp_path):
         path = os.path.join(tmp_path, "spans.json")
-        written = export_perfetto(traced_sim.flows.store, path)
+        written = export_perfetto(traced_sim.flows.spans(), path)
         assert written > 0
         assert validate_file(path) == []
         with open(path, "r", encoding="utf-8") as fh:

@@ -1,92 +1,59 @@
-"""Unit tests for the bounded span store."""
+"""Unit tests for span values and the spans a flow record builds."""
 
 import pytest
 
-from repro.obs.spans import Span, SpanStore
+from repro.analysis.flows import flow_summary
+from repro.obs.flows import FlowTracker, Span
 
 
 class TestSpanLifecycle:
     def test_open_then_closed(self):
-        store = SpanStore()
-        sid = store.start("replicate", 1.0, flow_id="echo/3", vm="echo",
-                          replica=0)
-        span = store.get(sid)
+        span = Span(0, "replicate", 1.0, flow_id="echo/3", vm="echo",
+                    replica=0)
         assert not span.closed
         assert span.duration is None
-        store.finish(sid, 1.5, hops=2)
+        span = Span(0, "replicate", 1.0, flow_id="echo/3", vm="echo",
+                    replica=0, annotations={"hops": 2}, end=1.5)
         assert span.closed
         assert span.duration == pytest.approx(0.5)
         assert span.annotations["hops"] == 2
 
     def test_parent_link_and_flow_lookup(self):
-        store = SpanStore()
-        root = store.start("flow", 0.0, flow_id="echo/0", vm="echo")
-        child = store.start("replicate", 0.0, flow_id="echo/0", vm="echo",
-                            replica=1, parent_id=root)
-        other = store.start("flow", 0.0, flow_id="echo/1", vm="echo")
-        assert store.get(child).parent_id == root
-        ids = {span.span_id for span in store.by_flow("echo/0")}
-        assert ids == {root, child}
-        assert other not in ids
-
-    def test_finish_tolerates_none_unknown_and_closed(self):
-        store = SpanStore()
-        sid = store.start("agree", 0.0)
-        store.finish(sid, 1.0)
-        store.finish(sid, 9.0)          # already closed: no-op
-        assert store.get(sid).end == 1.0
-        store.finish(None, 2.0)         # full-store sentinel: no-op
-        store.finish(12345, 2.0)        # unknown id: no-op
-        store.annotate(None, x=1)
-        store.discard(None)
-
-    def test_discard_forgets_the_span(self):
-        store = SpanStore()
-        sid = store.start("flow", 0.0)
-        store.discard(sid)
-        assert store.get(sid) is None
-        assert len(store) == 0
-
-
-class TestBoundedMemory:
-    def test_start_on_full_store_returns_none_and_counts_drop(self):
-        store = SpanStore(max_spans=2)
-        a = store.start("flow", 0.0)
-        b = store.start("replicate", 0.0)
-        assert a is not None and b is not None
-        c = store.start("agree", 0.0)
-        assert c is None
-        assert store.dropped == 1
-        assert len(store) == 2
-        # finishing through the sentinel stays safe
-        store.finish(c, 1.0)
-
-    def test_discard_frees_capacity(self):
-        store = SpanStore(max_spans=1)
-        a = store.start("flow", 0.0)
-        assert store.start("flow", 0.0) is None
-        store.discard(a)
-        assert store.start("flow", 0.0) is not None
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            SpanStore(max_spans=0)
+        tracker = FlowTracker(enabled=True)
+        tracker.flow_admitted(0.0, "echo", 0, replicas=3)
+        tracker.flow_admitted(0.0, "echo", 1, replicas=3)
+        root, *stages = tracker.flows[("echo", 0)].spans()
+        assert root.name == "flow" and root.parent_id is None
+        assert all(span.parent_id == root.span_id for span in stages)
+        assert {span.flow_id for span in stages} == {"echo/0"}
+        # ids are unique across flows, numbered in admission order
+        ids = [span.span_id for span in tracker.spans()]
+        assert ids == list(range(8))
+        other = tracker.spans()[4]
+        assert other.name == "flow" and other.flow_id == "echo/1"
 
 
 class TestQueries:
     def test_counts_and_iteration(self):
-        store = SpanStore()
-        for i in range(3):
-            store.start("replicate", float(i), replica=i)
-        sid = store.start("flow", 0.0)
-        store.finish(sid, 1.0)
-        assert store.name_counts() == {"replicate": 3, "flow": 1}
-        assert store.open_count() == 3
-        assert [s.name for s in store.closed_spans()] == ["flow"]
-        assert len(list(iter(store))) == 4
+        tracker = FlowTracker(enabled=True)
+        tracker.flow_admitted(0.0, "echo", 0, replicas=3)
+        tracker.packet_observed(0.001, "echo", 0, 1, proposal=0.002)
+        summary = flow_summary(tracker)
+        assert summary["span_names"] == [("agree", 1), ("flow", 1),
+                                         ("replicate", 3)]
+        assert summary["spans"] == 5
+        assert summary["open_spans"] == 4       # replica 1's replicate closed
+        assert [s.name for s in tracker.spans() if s.closed] == ["replicate"]
 
     def test_repr_shows_state(self):
         span = Span(7, "agree", 1.0, flow_id="vm/7", replica=2)
         assert "open" in repr(span)
         span.end = 2.0
         assert "dur=" in repr(span)
+
+
+class TestBoundedMemory:
+    def test_rejects_nonpositive_cap(self):
+        # span memory is bounded by the flow cap alone
+        with pytest.raises(ValueError):
+            FlowTracker(max_flows=0)

@@ -91,7 +91,7 @@ class TestCounterEvents:
 
         sim, _, _ = run_observed_workload(duration=0.5, seed=5, flows=True)
         path = str(tmp_path / "merged.json")
-        export_perfetto(sim.flows.store, path,
+        export_perfetto(sim.flows.spans(), path,
                         extra_events=counter_events(sample_summary()))
         assert validate_file(path) == []
         doc = json.load(open(path))
